@@ -16,17 +16,11 @@ from pathlib import Path
 
 from .datasets import CohortFilter, apply_cohort, generate_synthetic_corpus, parse_manifest
 from .dsp import FrameParams, MelParams
-from .errors import VoxscreenError
+from .errors import ConfigError, CorruptFileError, VoxscreenError
 from .evaluation import METRIC_NAMES, config_fingerprint, cross_validate
-from .features_io import read_feature, write_feature
-from .pipeline import (
-    FEATURE_KINDS,
-    MODEL_KINDS,
-    extract_matrix,
-    feature_from_matrix,
-    load_clip,
-    validate_recipe,
-)
+from .features_io import FEATURE_KINDS, KIND_TAGS, read_feature, write_feature
+from .learners.models import MODEL_KINDS
+from .pipeline import extract_matrix, feature_from_matrix, load_clip, validate_recipe
 
 
 def _default_seed() -> int:
@@ -63,25 +57,37 @@ def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _params_key(args) -> str:
+    """What an extracted feature depends on besides the clip bytes."""
+    return f"{args.feature}:{args.frame_length}:{args.hop_length}:{args.n_mels}:{args.n_mfcc}"
+
+
+def _read_index(feature_dir: Path) -> dict[str, tuple[str, str, str]]:
+    """index.csv of an extract output: clip path -> (sha256, params key, feature file)."""
+    index_path = feature_dir / "index.csv"
+    if not index_path.exists():
+        return {}
+    index = {}
+    for n, line in enumerate(index_path.read_text().splitlines()[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != 4:
+            raise CorruptFileError(f"{index_path}: line {n} does not have 4 cells")
+        index[cells[0]] = tuple(cells[1:])
+    return index
+
+
 def cmd_extract(args) -> int:
     examples, _ = _load_examples(args.manifest, args.cohort)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     frame = FrameParams(frame_length=args.frame_length, hop_length=args.hop_length)
     mel = MelParams(n_mels=args.n_mels, n_mfcc=args.n_mfcc)
-    params_key = f"{args.feature}:{args.frame_length}:{args.hop_length}:{args.n_mels}:{args.n_mfcc}"
-
-    index_path = out_dir / "index.csv"
-    previous = {}
-    if index_path.exists():
-        for line in index_path.read_text().splitlines()[1:]:
-            path, sha, key, feat = line.split(",")
-            previous[path] = (sha, key, feat)
-
+    params_key = _params_key(args)
+    previous = _read_index(out_dir)
     manifest_dir = Path(args.manifest).parent
 
     def extract_one(ex):
-        """Returns (row, skipped) or raises; safe to run concurrently."""
+        """Returns (row, skipped) or raises."""
         clip_path = manifest_dir / ex.clip_path
         data = clip_path.read_bytes()
         sha = _sha256_bytes(data)
@@ -96,33 +102,16 @@ def cmd_extract(args) -> int:
         return (ex.clip_path, sha, params_key, feat_name), False
 
     rows, failures, skipped = [], [], 0
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        outcomes = []
-        for ex in examples:
-            try:
-                outcomes.append(extract_one(ex))
-            except (VoxscreenError, OSError) as exc:
-                outcomes.append((ex.clip_path, str(exc)))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(extract_one, ex) for ex in examples]
-            outcomes = []
-            for ex, fut in zip(examples, futures):
-                try:
-                    outcomes.append(fut.result())
-                except (VoxscreenError, OSError) as exc:
-                    outcomes.append((ex.clip_path, str(exc)))
-    for outcome in outcomes:
-        if isinstance(outcome[1], bool):
-            row, was_skipped = outcome
-            rows.append(row)
-            skipped += was_skipped
-        else:
-            failures.append(outcome)
+    for ex in examples:
+        try:
+            row, was_skipped = extract_one(ex)
+        except (VoxscreenError, OSError) as exc:
+            failures.append((ex.clip_path, str(exc)))
+            continue
+        rows.append(row)
+        skipped += was_skipped
 
-    index_path.write_text("path,sha256,params,feature_path\n" + "".join(
+    (out_dir / "index.csv").write_text("path,sha256,params,feature_path\n" + "".join(
         f"{p},{s},{k},{f}\n" for p, s, k, f in rows))
     _write_fingerprint(out_dir, {
         "command": "extract", "manifest": args.manifest, "cohort": args.cohort,
@@ -134,8 +123,16 @@ def cmd_extract(args) -> int:
     return 1 if failures else 0
 
 
-_KIND_TO_TAG = {"mfcc_vector": "vector", "mfcc_image": "mfcc",
-                "melspec_image": "melspec", "encoder": "encoder"}
+def _refuse_stale(feature_dir: Path, examples, params_key: str) -> None:
+    """ConfigError when index.csv records other extraction parameters for a clip."""
+    index = _read_index(feature_dir)
+    for ex in examples:
+        recorded = index.get(ex.clip_path)
+        if recorded and recorded[1] != params_key:
+            raise ConfigError(
+                f"{feature_dir / 'index.csv'}: {ex.clip_path} was extracted with "
+                f"{recorded[1]!r} but the run asks for {params_key!r}; re-extract "
+                "or point elsewhere")
 
 
 def _collect_features(args, examples):
@@ -145,11 +142,13 @@ def _collect_features(args, examples):
     manifest_dir = Path(args.manifest).parent
     features = []
     feature_dir = Path(args.features) if args.features else None
+    if feature_dir:
+        _refuse_stale(feature_dir, examples, _params_key(args))
     for ex in examples:
         vxf = feature_dir / (Path(ex.clip_path).stem + ".vxf") if feature_dir else None
         if vxf is not None and vxf.exists():
             matrix, tag = read_feature(str(vxf))
-            if tag != _KIND_TO_TAG[args.feature]:
+            if tag != KIND_TAGS[args.feature]:
                 raise VoxscreenError(
                     f"{vxf} holds {tag!r} features but the run asks for "
                     f"{args.feature!r}; re-extract or point elsewhere")
@@ -295,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cohort", default="all")
     p.add_argument("--feature", required=True, choices=FEATURE_KINDS)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved worker cap; extraction is sequential")
     _add_common_feature_flags(p)
     p.set_defaults(fn=cmd_extract)
 

@@ -91,6 +91,13 @@ class ConfigError(VoxscreenError):
     """Run configuration is inconsistent or names an unknown recipe."""
 
 
+# --- stored files ---
+
+class CorruptFileError(VoxscreenError):
+    """A stored file (VXF1, VXM1, an extract's index.csv) has a bad magic,
+    an unknown tag or a short or garbled payload."""
+
+
 # --- manifests ---
 
 class ManifestError(VoxscreenError):

@@ -1,4 +1,4 @@
-"""VXF1 on-disk feature container: one small binary file per clip."""
+"""Feature kinds and the VXF1 on-disk container: one small binary file per clip."""
 
 from __future__ import annotations
 
@@ -6,9 +6,18 @@ import struct
 
 import numpy as np
 
+from .errors import CorruptFileError
+
+# feature kind -> the VXF1 tag its stored matrix carries
+KIND_TAGS = {"mfcc_vector": "vector", "mfcc_image": "mfcc",
+             "melspec_image": "melspec", "encoder": "encoder"}
+FEATURE_KINDS = tuple(KIND_TAGS)
+IMAGE_KINDS = ("mfcc_image", "melspec_image")  # CNN input; the other kinds are vectors
+
 FEATURE_MAGIC = b"VXF1"
 FEATURE_TAGS = {"mfcc": 0, "melspec": 1, "vector": 2, "encoder": 3}
 TAG_NAMES = {v: k for k, v in FEATURE_TAGS.items()}
+_HEADER = struct.Struct("<4sIIB")
 
 
 def write_feature(path: str, matrix: np.ndarray, kind: str) -> None:
@@ -16,16 +25,22 @@ def write_feature(path: str, matrix: np.ndarray, kind: str) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     rows, cols = matrix.shape
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IIB", rows, cols, FEATURE_TAGS[kind]))
+        fh.write(_HEADER.pack(FEATURE_MAGIC, rows, cols, FEATURE_TAGS[kind]))
         fh.write(matrix.astype("<f4").tobytes())
 
 
 def read_feature(path: str) -> tuple[np.ndarray, str]:
     data = open(path, "rb").read()
     if data[:4] != FEATURE_MAGIC:
-        raise ValueError(f"{path}: not a VXF1 feature file")
-    rows, cols, tag = struct.unpack_from("<IIB", data, 4)
-    matrix = np.frombuffer(data, dtype="<f4", count=rows * cols,
-                           offset=13).astype(np.float64).reshape(rows, cols)
-    return matrix, TAG_NAMES[tag]
+        raise CorruptFileError(f"{path}: not a VXF1 feature file")
+    if len(data) < _HEADER.size:
+        raise CorruptFileError(f"{path}: VXF1 header cut short")
+    _, rows, cols, tag = _HEADER.unpack_from(data)
+    if tag not in TAG_NAMES:
+        raise CorruptFileError(f"{path}: unknown VXF1 feature tag {tag}")
+    if len(data) != _HEADER.size + 4 * rows * cols:
+        raise CorruptFileError(
+            f"{path}: {len(data)} bytes, but a {rows}x{cols} VXF1 matrix needs "
+            f"{_HEADER.size + 4 * rows * cols}")
+    matrix = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
+    return matrix.astype(np.float64).reshape(rows, cols), TAG_NAMES[tag]

@@ -30,8 +30,3 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float(np.max(np.abs(a - n) / denom))
 
-
-def check_gradient(f, x: np.ndarray, analytic: np.ndarray,
-                   step: float = 1e-5, floor: float = 1e-6) -> float:
-    """Convenience wrapper: returns the max relative error at x."""
-    return max_relative_error(analytic, numeric_grad(f, x, step), floor)

@@ -1,78 +1,140 @@
-"""Uniform trained-model surface: tagged wrapper, scoring, VXM1 files."""
+"""The model table, and the uniform trained-model surface built on it:
+tagged wrapper, scoring, VXM1 files."""
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
-from ..errors import FeatureKindMismatchError
+from ..errors import CorruptFileError, FeatureKindMismatchError
+from ..features_io import IMAGE_KINDS
 from ..render import FeatureImage, Standardizer
-from .cnn import CnnConfig, CnnModel
+from .cnn import CnnConfig, CnnModel, train_cnn
 from .layers import sigmoid
-from .logreg import LogRegModel
-from .lstm import LstmConfig, LstmModel
-from .svm import SvmModel
+from .logreg import LogRegModel, train_logreg
+from .lstm import LstmConfig, LstmModel, train_lstm
+from .svm import SvmModel, train_svm_smo
 
-MODEL_MAGIC = b"VXM1"
-_KIND_TAGS = {"logreg": 0, "svm": 1, "cnn": 2, "lstm": 3}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 
-VECTOR_FEATURES = ("mfcc_vector", "encoder")
-IMAGE_FEATURES = ("mfcc_image", "melspec_image")
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything that differs between model kinds.
+
+    fit(x, labels, seed, hyper) calls its trainer by module-global name, so
+    rebinding a train_* name in this module reaches every fold.
+    """
+
+    tag: int                  # VXM1 kind byte
+    images: bool              # reads [n, h, w, c] images, else standardized [n, d] rows
+    hyper: dict[str, type]    # recipe hyper keys it reads, with their casts
+    fit: Callable             # (x, labels, seed, hyper) -> fitted model
+    score: Callable           # (fitted, x) -> scores in [0, 1]
+    dump: Callable            # fitted -> (VXM1 hyper block, named tensors)
+    load: Callable            # (hyper block, tensors) -> fitted
+
+
+_TRAINING = {"epochs": int, "batch": int}
+
+
+def _config_hyper(config_cls, *fixed: str) -> dict[str, type]:
+    """Recipe keys of a config dataclass, cast to the type of its default."""
+    return {f.name: type(f.default) for f in fields(config_cls) if f.name not in fixed}
+
+
+def _with_config(config_cls, hyper: dict) -> dict:
+    """Trainer keyword arguments: config=config_cls(...) plus the rest of hyper."""
+    names = {f.name for f in fields(config_cls)}
+    return {"config": config_cls(**{k: v for k, v in hyper.items() if k in names}),
+            **{k: v for k, v in hyper.items() if k not in names}}
+
+
+def _load_config(config_cls, hyper: dict):
+    return config_cls(**{f.name: hyper[f.name] for f in fields(config_cls)})
+
+
+MODELS = {
+    "logreg": ModelSpec(
+        tag=0, images=False, hyper={"epochs": int, "lr": float},
+        fit=lambda x, y, seed, h: train_logreg(x, y, **h),
+        score=lambda m, x: m.scores(x),
+        dump=lambda m: ({}, {"weights": m.weights, "bias": np.array([m.bias])}),
+        load=lambda h, t: LogRegModel(weights=t["weights"], bias=float(t["bias"][0]))),
+    "svm": ModelSpec(
+        tag=1, images=False,
+        hyper={"C": float, "gamma": float, "tol": float, "max_passes": int},
+        fit=lambda x, y, seed, h: train_svm_smo(x, y, **h),
+        score=lambda m, x: sigmoid(m.decision_values(x)),
+        dump=lambda m: ({"gamma": m.gamma, "C": m.C, "converged": m.converged},
+                        {"support_vectors": m.support_vectors,
+                         "dual_coefs": m.dual_coefs, "bias": np.array([m.bias])}),
+        load=lambda h, t: SvmModel(
+            support_vectors=t["support_vectors"], dual_coefs=t["dual_coefs"],
+            bias=float(t["bias"][0]), gamma=h["gamma"], C=h["C"],
+            converged=h["converged"])),
+    "cnn": ModelSpec(
+        tag=2, images=True,
+        hyper={**_config_hyper(CnnConfig, "kernel", "n_classes"), **_TRAINING},
+        fit=lambda x, y, seed, h: train_cnn(x, y, seed=seed, **_with_config(CnnConfig, h)),
+        score=lambda m, x: m.scores(x),
+        dump=lambda m: ({**asdict(m.config), "input_shape": list(m.input_shape)},
+                        dict(m.params)),
+        load=lambda h, t: CnnModel(params=t, config=_load_config(CnnConfig, h),
+                                   input_shape=tuple(h["input_shape"]))),
+    "lstm": ModelSpec(
+        tag=3, images=False, hyper={**_config_hyper(LstmConfig), **_TRAINING},
+        fit=lambda x, y, seed, h: train_lstm(x[:, :, None], y, seed=seed,
+                                             **_with_config(LstmConfig, h)),
+        score=lambda m, x: m.scores(x[:, :, None]),
+        dump=lambda m: ({**asdict(m.config), "input_dim": m.input_dim}, dict(m.params)),
+        load=lambda h, t: LstmModel(params=t, config=_load_config(LstmConfig, h),
+                                    input_dim=h["input_dim"])),
+}
+MODEL_KINDS = tuple(MODELS)
+_TAG_KINDS = {spec.tag: kind for kind, spec in MODELS.items()}
+
+
+def model_input(features, feature_kind: str, images: bool) -> np.ndarray:
+    """Stack feature objects into what a model reads: [n, h, w, c] images or
+    [n, d] float64 rows."""
+    want = "image" if images else "vector"
+    if (feature_kind in IMAGE_KINDS) != images:
+        raise FeatureKindMismatchError(
+            f"{want} model cannot use {feature_kind!r} features")
+    stacked = []
+    for f in features:
+        if isinstance(f, FeatureImage) != images:
+            raise FeatureKindMismatchError(f"{want}-recipe model received the wrong feature type")
+        stacked.append(f.pixels if images else np.asarray(f, dtype=np.float64).ravel())
+    return np.stack(stacked)
 
 
 @dataclass
 class TrainedModel:
     """A fitted classifier plus the preprocessing recipe it expects."""
 
-    kind: str  # logreg | svm | cnn | lstm
+    kind: str  # a key of MODELS
     model: object
     feature_kind: str
     standardizer: Standardizer | None = None
 
+    @property
+    def spec(self) -> ModelSpec:
+        if self.kind not in MODELS:
+            raise FeatureKindMismatchError(f"unknown model kind {self.kind!r}")
+        return MODELS[self.kind]
+
+    def inputs(self, features) -> np.ndarray:
+        """The (standardized) array the fitted model reads."""
+        x = model_input(features, self.feature_kind, self.spec.images)
+        return x if self.standardizer is None else self.standardizer.apply(x)
+
     def score_batch(self, features) -> np.ndarray:
         """Scores in [0, 1] for a batch of feature objects."""
-        if self.kind in ("logreg", "svm", "lstm"):
-            rows = _as_rows(features, self.feature_kind)
-            if self.standardizer is not None:
-                rows = self.standardizer.apply(rows)
-            if self.kind == "logreg":
-                return self.model.scores(rows)
-            if self.kind == "svm":
-                return sigmoid(self.model.decision_values(rows))
-            return self.model.scores(rows[:, :, None])
-        if self.kind == "cnn":
-            return self.model.scores(_as_images(features, self.feature_kind))
-        raise FeatureKindMismatchError(f"unknown model kind {self.kind!r}")
-
-
-def _as_rows(features, feature_kind) -> np.ndarray:
-    if feature_kind not in VECTOR_FEATURES:
-        raise FeatureKindMismatchError(
-            f"model trained on {feature_kind!r} cannot score vector input")
-    rows = []
-    for f in features:
-        if isinstance(f, FeatureImage):
-            raise FeatureKindMismatchError(
-                "vector-recipe model received an image feature")
-        rows.append(np.asarray(f, dtype=np.float64).ravel())
-    return np.stack(rows)
-
-
-def _as_images(features, feature_kind) -> np.ndarray:
-    if feature_kind not in IMAGE_FEATURES:
-        raise FeatureKindMismatchError(
-            f"model trained on {feature_kind!r} cannot score image input")
-    planes = []
-    for f in features:
-        if not isinstance(f, FeatureImage):
-            raise FeatureKindMismatchError(
-                "image-recipe model received a non-image feature")
-        planes.append(f.pixels)
-    return np.stack(planes)
+        return self.spec.score(self.model, self.inputs(features))
 
 
 def predict_score(model: TrainedModel, feature) -> float:
@@ -84,13 +146,13 @@ def svm_raw_score(model: TrainedModel, feature) -> float:
     """Unsquashed SVM decision value (sign = predicted side)."""
     if model.kind != "svm":
         raise FeatureKindMismatchError("raw decision values exist only for svm")
-    rows = _as_rows([feature], model.feature_kind)
-    if model.standardizer is not None:
-        rows = model.standardizer.apply(rows)
-    return float(model.model.decision_values(rows)[0])
+    return float(model.model.decision_values(model.inputs([feature]))[0])
 
 
 # --- VXM1 container ---
+
+MODEL_MAGIC = b"VXM1"
+
 
 def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
@@ -105,6 +167,8 @@ def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
 
 
 class _Reader:
+    """Sequential decoder; struct.error or ValueError on a short read."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
@@ -116,6 +180,8 @@ class _Reader:
 
     def take_str(self) -> str:
         (n,) = self.take("<I")
+        if self.pos + n > len(self.data):
+            raise ValueError("string runs past the end of the file")
         s = self.data[self.pos:self.pos + n].decode("utf-8")
         self.pos += n
         return s
@@ -132,31 +198,8 @@ class _Reader:
 
 
 def _model_payload(m: TrainedModel) -> tuple[dict, dict[str, np.ndarray]]:
-    """Hyperparameter block and named tensors for each model kind."""
-    hyper: dict = {}
-    tensors: dict[str, np.ndarray] = {}
-    if m.kind == "logreg":
-        tensors = {"weights": m.model.weights, "bias": np.array([m.model.bias])}
-    elif m.kind == "svm":
-        hyper = {"gamma": m.model.gamma, "C": m.model.C,
-                 "converged": m.model.converged}
-        tensors = {"support_vectors": m.model.support_vectors,
-                   "dual_coefs": m.model.dual_coefs,
-                   "bias": np.array([m.model.bias])}
-    elif m.kind == "cnn":
-        c = m.model.config
-        hyper = {"filters1": c.filters1, "filters2": c.filters2,
-                 "kernel": c.kernel, "dropout": c.dropout, "lr": c.lr,
-                 "n_classes": c.n_classes,
-                 "input_shape": list(m.model.input_shape)}
-        tensors = dict(m.model.params)
-    elif m.kind == "lstm":
-        c = m.model.config
-        hyper = {"hidden": c.hidden, "dense": c.dense, "dropout": c.dropout,
-                 "lr": c.lr, "loss": c.loss, "input_dim": m.model.input_dim}
-        tensors = dict(m.model.params)
-    else:
-        raise ValueError(f"unknown model kind {m.kind!r}")
+    """Hyperparameter block and named tensors, scaler included."""
+    hyper, tensors = m.spec.dump(m.model)
     if m.standardizer is not None:
         tensors["scaler_mean"] = m.standardizer.mean
         tensors["scaler_std"] = m.standardizer.std
@@ -168,7 +211,7 @@ def save_model(m: TrainedModel, path: str) -> None:
     hyper, tensors = _model_payload(m)
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<B", _KIND_TAGS[m.kind]))
+        fh.write(struct.pack("<B", m.spec.tag))
         fh.write(_pack_str(m.feature_kind))
         fh.write(_pack_str(json.dumps(hyper, sort_keys=True)))
         fh.write(struct.pack("<I", len(tensors)))
@@ -179,41 +222,25 @@ def save_model(m: TrainedModel, path: str) -> None:
 def load_model(path: str) -> TrainedModel:
     data = open(path, "rb").read()
     if data[:4] != MODEL_MAGIC:
-        raise ValueError("not a VXM1 model file")
+        raise CorruptFileError(f"{path}: not a VXM1 model file")
+    if len(data) < 5 or data[4] not in _TAG_KINDS:
+        raise CorruptFileError(f"{path}: missing or unknown VXM1 model tag")
+    kind = _TAG_KINDS[data[4]]
     r = _Reader(data)
-    r.pos = 4
-    (tag,) = r.take("<B")
-    kind = _TAG_KINDS[tag]
-    feature_kind = r.take_str()
-    hyper = json.loads(r.take_str())
-    (n_tensors,) = r.take("<I")
-    tensors = dict(r.take_tensor() for _ in range(n_tensors))
-
-    scaler = None
-    if hyper.pop("standardized", False):
-        scaler = Standardizer(mean=tensors.pop("scaler_mean"),
-                              std=tensors.pop("scaler_std"))
-
-    if kind == "logreg":
-        model = LogRegModel(weights=tensors["weights"],
-                            bias=float(tensors["bias"][0]))
-    elif kind == "svm":
-        model = SvmModel(support_vectors=tensors["support_vectors"],
-                         dual_coefs=tensors["dual_coefs"],
-                         bias=float(tensors["bias"][0]),
-                         gamma=hyper["gamma"], C=hyper["C"],
-                         converged=hyper["converged"])
-    elif kind == "cnn":
-        cfg = CnnConfig(filters1=hyper["filters1"], filters2=hyper["filters2"],
-                        kernel=hyper["kernel"], dropout=hyper["dropout"],
-                        lr=hyper["lr"], n_classes=hyper["n_classes"])
-        model = CnnModel(params=tensors, config=cfg,
-                         input_shape=tuple(hyper["input_shape"]))
-    else:
-        cfg = LstmConfig(hidden=hyper["hidden"], dense=hyper["dense"],
-                         dropout=hyper["dropout"], lr=hyper["lr"],
-                         loss=hyper["loss"])
-        model = LstmModel(params=tensors, config=cfg,
-                          input_dim=hyper["input_dim"])
+    r.pos = 5
+    try:
+        feature_kind = r.take_str()
+        hyper = json.loads(r.take_str())
+        (n_tensors,) = r.take("<I")
+        tensors = dict(r.take_tensor() for _ in range(n_tensors))
+        if r.pos != len(data):
+            raise ValueError(f"{len(data) - r.pos} bytes after the last tensor")
+        scaler = None
+        if hyper.pop("standardized", False):
+            scaler = Standardizer(mean=tensors.pop("scaler_mean"),
+                                  std=tensors.pop("scaler_std"))
+        model = MODELS[kind].load(hyper, tensors)
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptFileError(f"{path}: garbled {kind} VXM1 payload ({exc!r})") from exc
     return TrainedModel(kind=kind, model=model, feature_kind=feature_kind,
                         standardizer=scaler)

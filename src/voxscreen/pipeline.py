@@ -1,5 +1,5 @@
 """Recipe plumbing: clip loading, feature extraction per kind, and the
-model registry behind cross_validate and the CLI.
+recipe resolution behind cross_validate and the CLI.
 
 Supported (model, feature) pairings mirror the screening experiments:
 LR / SVM / LSTM read mean-MFCC vectors, the CNN reads MFCC or
@@ -17,19 +17,9 @@ from .audio_io import AudioClip, CANONICAL_RATE, load_wav, peak_normalize, resam
 from .dsp import FrameParams, MelParams, mel_spectrogram, mfcc, mfcc_mean_vector
 from .encoder import EncoderConfig, encoder_apply
 from .errors import ConfigError
-from .learners import (
-    TrainedModel,
-    train_cnn,
-    train_logreg,
-    train_lstm,
-    train_svm_smo,
-)
-from .learners.cnn import CnnConfig
-from .learners.lstm import LstmConfig
+from .features_io import FEATURE_KINDS, IMAGE_KINDS, KIND_TAGS
+from .learners.models import MODEL_KINDS, MODELS, TrainedModel, model_input
 from .render import FeatureImage, fit_standardizer, render_image
-
-FEATURE_KINDS = ("mfcc_vector", "mfcc_image", "melspec_image", "encoder")
-MODEL_KINDS = ("logreg", "svm", "cnn", "lstm")
 
 ALLOWED_PAIRS = {
     ("logreg", "mfcc_vector"),
@@ -54,26 +44,25 @@ def extract_matrix(clip: AudioClip, feature_kind: str,
                    encoder_cfg: EncoderConfig = EncoderConfig()) -> tuple[np.ndarray, str]:
     """The storable 2-D form of each feature kind, plus its VXF1 tag."""
     if feature_kind == "mfcc_vector":
-        return mfcc_mean_vector(mfcc(clip, frame, mel))[None, :], "vector"
-    if feature_kind == "mfcc_image":
-        image = render_image(mfcc(clip, frame, mel))
-        return image.pixels[:, :, 0], "mfcc"
-    if feature_kind == "melspec_image":
-        image = render_image(mel_spectrogram(clip, frame, mel))
-        return image.pixels[:, :, 0], "melspec"
-    if feature_kind == "encoder":
-        return encoder_apply(clip, encoder_cfg), "encoder"
-    raise ConfigError(f"unknown feature kind {feature_kind!r}")
+        matrix = mfcc_mean_vector(mfcc(clip, frame, mel))[None, :]
+    elif feature_kind == "mfcc_image":
+        matrix = render_image(mfcc(clip, frame, mel)).pixels[:, :, 0]
+    elif feature_kind == "melspec_image":
+        matrix = render_image(mel_spectrogram(clip, frame, mel)).pixels[:, :, 0]
+    elif feature_kind == "encoder":
+        matrix = encoder_apply(clip, encoder_cfg)
+    else:
+        raise ConfigError(f"unknown feature kind {feature_kind!r}")
+    return matrix, KIND_TAGS[feature_kind]
 
 
 def feature_from_matrix(matrix: np.ndarray, feature_kind: str):
     """In-memory feature object the learners consume."""
     if feature_kind == "mfcc_vector":
         return matrix.ravel()
-    if feature_kind in ("mfcc_image", "melspec_image"):
+    if feature_kind in IMAGE_KINDS:
         pixels = np.repeat(matrix[:, :, None], 3, axis=2)
-        kind = "mfcc" if feature_kind == "mfcc_image" else "melspec"
-        return FeatureImage(pixels=pixels, source_kind=kind)
+        return FeatureImage(pixels=pixels, source_kind=KIND_TAGS[feature_kind])
     if feature_kind == "encoder":
         return matrix.mean(axis=0)  # mean-pool the frame sequence
     raise ConfigError(f"unknown feature kind {feature_kind!r}")
@@ -95,62 +84,28 @@ def validate_recipe(recipe: dict) -> dict:
         raise ConfigError(
             f"({model}, {feature}) is not one of the supported pairings; "
             "pass force=true to run it anyway")
+    accepted = MODELS[model].hyper
+    for key in recipe.get("hyper", {}):
+        if key not in accepted:
+            raise ConfigError(
+                f"{model} does not read hyperparameter {key!r}; "
+                f"it accepts {', '.join(sorted(accepted))}")
     return recipe
 
 
 def resolve_recipe(recipe: dict):
-    """Build fit_fn(features, labels, seed) -> TrainedModel for a recipe."""
-    validate_recipe(recipe)
-    model = recipe["model"]
-    feature = recipe["feature"]
-    hyper = dict(recipe.get("hyper", {}))
+    """Build fit_fn(features, labels, seed) -> TrainedModel for a recipe.
 
-    if model == "logreg":
-        def fit(features, labels, seed):
-            rows = np.stack([np.asarray(f, dtype=np.float64).ravel() for f in features])
-            scaler = fit_standardizer(rows)
-            inner = train_logreg(scaler.apply(rows), labels,
-                                 epochs=int(hyper.get("epochs", 500)),
-                                 lr=float(hyper.get("lr", 0.1)))
-            return TrainedModel("logreg", inner, feature, scaler)
-    elif model == "svm":
-        def fit(features, labels, seed):
-            rows = np.stack([np.asarray(f, dtype=np.float64).ravel() for f in features])
-            scaler = fit_standardizer(rows)
-            inner = train_svm_smo(scaler.apply(rows), labels,
-                                  C=float(hyper.get("C", 1.0)),
-                                  gamma=float(hyper.get("gamma", 0.001)),
-                                  tol=float(hyper.get("tol", 1e-3)),
-                                  max_passes=int(hyper.get("max_passes", 200)))
-            return TrainedModel("svm", inner, feature, scaler)
-    elif model == "cnn":
-        def fit(features, labels, seed):
-            images = np.stack([f.pixels for f in features])
-            cfg = CnnConfig(
-                filters1=int(hyper.get("filters1", 16)),
-                filters2=int(hyper.get("filters2", 32)),
-                dropout=float(hyper.get("dropout", 0.25)),
-                lr=float(hyper.get("lr", 1e-3)),
-            )
-            inner = train_cnn(images, labels,
-                              epochs=int(hyper.get("epochs", 100)),
-                              batch=int(hyper.get("batch", 32)),
-                              seed=seed, config=cfg)
-            return TrainedModel("cnn", inner, feature, None)
-    else:  # lstm
-        def fit(features, labels, seed):
-            rows = np.stack([np.asarray(f, dtype=np.float64).ravel() for f in features])
-            scaler = fit_standardizer(rows)
-            cfg = LstmConfig(
-                hidden=int(hyper.get("hidden", 64)),
-                dense=int(hyper.get("dense", 32)),
-                dropout=float(hyper.get("dropout", 0.3)),
-                lr=float(hyper.get("lr", 1e-3)),
-                loss=str(hyper.get("loss", "mae")),
-            )
-            inner = train_lstm(scaler.apply(rows)[:, :, None], labels,
-                               epochs=int(hyper.get("epochs", 100)),
-                               batch=int(hyper.get("batch", 32)),
-                               seed=seed, config=cfg)
-            return TrainedModel("lstm", inner, feature, scaler)
+    Vector recipes fit a per-fold Standardizer on the train rows only.
+    """
+    validate_recipe(recipe)
+    kind, feature = recipe["model"], recipe["feature"]
+    spec = MODELS[kind]
+    hyper = {k: spec.hyper[k](v) for k, v in recipe.get("hyper", {}).items()}
+
+    def fit(features, labels, seed):
+        x = model_input(features, feature, spec.images)
+        scaler = None if spec.images else fit_standardizer(x)
+        inner = spec.fit(x if scaler is None else scaler.apply(x), labels, seed, hyper)
+        return TrainedModel(kind, inner, feature, scaler)
     return fit

@@ -140,6 +140,55 @@ class TestCv:
                      "--model", "logreg", "--k", "4", "--seed", "1",
                      "--out", str(out)]) == 0
 
+    def test_truncated_feature_file_is_an_error(self, corpus, tmp_path, capsys):
+        feats = tmp_path / "feats"
+        main(["extract", "--manifest", str(corpus / "manifest.csv"),
+              "--feature", "mfcc_vector", "--out", str(feats)])
+        vxf = sorted(feats.glob("*.vxf"))[3]
+        vxf.write_bytes(vxf.read_bytes()[:40])
+        capsys.readouterr()
+        code = main(["cv", "--manifest", str(corpus / "manifest.csv"),
+                     "--feature", "mfcc_vector", "--features", str(feats),
+                     "--model", "logreg", "--k", "4", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and vxf.name in err
+        assert "Traceback" not in err
+
+    def test_malformed_index_is_an_error(self, corpus, tmp_path, capsys):
+        feats = tmp_path / "feats"
+        main(["extract", "--manifest", str(corpus / "manifest.csv"),
+              "--feature", "mfcc_vector", "--out", str(feats)])
+        (feats / "index.csv").write_text("path,sha256,params,feature_path\nclip.wav,x\n")
+        capsys.readouterr()
+        code = main(["cv", "--manifest", str(corpus / "manifest.csv"),
+                     "--feature", "mfcc_vector", "--features", str(feats),
+                     "--model", "logreg", "--k", "4", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "line 2" in err
+
+    def test_stale_features_refused(self, corpus, tmp_path, capsys):
+        feats = tmp_path / "feats20"
+        main(["extract", "--manifest", str(corpus / "manifest.csv"),
+              "--feature", "mfcc_vector", "--n-mfcc", "20", "--out", str(feats)])
+        capsys.readouterr()
+        code = main(["cv", "--manifest", str(corpus / "manifest.csv"),
+                     "--feature", "mfcc_vector", "--features", str(feats),
+                     "--model", "logreg", "--k", "4", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "mfcc_vector:2048:512:64:20" in err
+        assert "mfcc_vector:2048:512:64:40" in err
+        assert not (tmp_path / "x" / "report.json").exists()
+
+    def test_inapplicable_hyper_flags_rejected(self, corpus, tmp_path, capsys):
+        code = main(["cv", "--manifest", str(corpus / "manifest.csv"),
+                     "--feature", "mfcc_vector", "--model", "logreg",
+                     "--C", "7", "--tol", "3", "--k", "2", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'C'" in err and "epochs, lr" in err
+
 
 class TestGammaSweep:
     def test_sweep_table(self, corpus, tmp_path, capsys):

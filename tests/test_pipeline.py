@@ -1,5 +1,8 @@
 """Recipe plumbing: feature kinds, pairings, the encoder path."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,16 @@ class TestRecipeValidation:
             validate_recipe({"model": "svm", "feature": "melspec_image"})
         validate_recipe({"model": "svm", "feature": "encoder", "force": True})
 
+    def test_hyper_keys_the_model_does_not_read(self):
+        validate_recipe({"model": "svm", "feature": "mfcc_vector",
+                         "hyper": {"C": 7.0, "tol": 3.0}})
+        with pytest.raises(ConfigError, match="'tol'.*accepts epochs, lr"):
+            validate_recipe({"model": "logreg", "feature": "mfcc_vector",
+                             "hyper": {"tol": 3.0}})
+        with pytest.raises(ConfigError, match="'kernel'"):
+            validate_recipe({"model": "cnn", "feature": "melspec_image",
+                             "hyper": {"kernel": 5}})
+
     def test_unknown_names(self):
         with pytest.raises(ConfigError):
             validate_recipe({"model": "forest", "feature": "mfcc_vector"})
@@ -127,3 +140,42 @@ class TestResolvedFitFunctions:
                                         "filters2": 4}})
         trained = fit(images, labels, seed=0)
         assert trained.score_batch(images).shape == (8,)
+
+
+TRAINERS = {"logreg": "train_logreg", "svm": "train_svm_smo",
+            "cnn": "train_cnn", "lstm": "train_lstm"}
+TINY_HYPER = {"cnn": {"epochs": 1, "filters1": 2, "filters2": 2},
+              "lstm": {"epochs": 1, "hidden": 2, "dense": 2}}
+
+
+def test_rebound_trainers_run_once_per_fold(monkeypatch):
+    """An outside profiler swaps each train_* name, in every voxscreen
+    module that binds it, for a wrapper; cross_validate must call it."""
+    from voxscreen import learners
+    calls = Counter()
+    modules = [m for name, m in list(sys.modules.items())
+               if name.startswith("voxscreen") and m is not None]
+    for name in TRAINERS.values():
+        original = getattr(learners, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+
+    rng = np.random.default_rng(5)
+    labels = np.array([0, 1] * 4)
+    for model, feature in sorted(ALLOWED_PAIRS):
+        if model == "cnn":
+            feats = [FeatureImage(rng.uniform(0, 1, (10, 10, 3)), "melspec")
+                     for _ in labels]
+        else:
+            feats = list(rng.normal(size=(len(labels), 5)) + labels[:, None])
+        calls.clear()
+        cross_validate(feats, labels, {"model": model, "feature": feature,
+                                       "hyper": TINY_HYPER.get(model, {})},
+                       k=2, seed=0)
+        assert calls == {TRAINERS[model]: 2}, (model, feature)
