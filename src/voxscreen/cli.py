@@ -8,11 +8,13 @@ byte for byte. VOXSCREEN_SEED provides the default seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import sys
 from pathlib import Path
+from urllib.parse import quote
 
 from .datasets import CohortFilter, apply_cohort, generate_synthetic_corpus, parse_manifest
 from .dsp import FrameParams, MelParams
@@ -53,23 +55,23 @@ def _write_fingerprint(out_dir: Path, payload: dict) -> str:
     return fp
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _feature_params(args) -> tuple[FrameParams, MelParams, str]:
+    """Frame and mel parameters, and the params key index.csv records for them:
+    what an extracted feature depends on besides the clip bytes."""
+    return (FrameParams(frame_length=args.frame_length, hop_length=args.hop_length),
+            MelParams(n_mels=args.n_mels, n_mfcc=args.n_mfcc),
+            f"{args.feature}:{args.frame_length}:{args.hop_length}:{args.n_mels}:{args.n_mfcc}")
 
 
-def _params_key(args) -> str:
-    """What an extracted feature depends on besides the clip bytes."""
-    return f"{args.feature}:{args.frame_length}:{args.hop_length}:{args.n_mels}:{args.n_mfcc}"
-
-
-def _read_index(feature_dir: Path) -> dict[str, tuple[str, str, str]]:
+def _read_index(index_path: Path) -> dict[str, tuple[str, str, str]]:
     """index.csv of an extract output: clip path -> (sha256, params key, feature file)."""
-    index_path = feature_dir / "index.csv"
-    if not index_path.exists():
-        return {}
+    try:
+        text = index_path.read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"{index_path.parent} has no index.csv, so none of its feature "
+                          "files can be trusted; re-extract or point elsewhere") from None
     index = {}
-    for n, line in enumerate(index_path.read_text().splitlines()[1:], start=2):
-        cells = line.split(",")
+    for n, cells in enumerate(list(csv.reader(text.splitlines()))[1:], start=2):
         if len(cells) != 4:
             raise CorruptFileError(f"{index_path}: line {n} does not have 4 cells")
         index[cells[0]] = tuple(cells[1:])
@@ -80,39 +82,38 @@ def cmd_extract(args) -> int:
     examples, _ = _load_examples(args.manifest, args.cohort)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    frame = FrameParams(frame_length=args.frame_length, hop_length=args.hop_length)
-    mel = MelParams(n_mels=args.n_mels, n_mfcc=args.n_mfcc)
-    params_key = _params_key(args)
-    previous = _read_index(out_dir)
+    frame, mel, params_key = _feature_params(args)
+    index_path = out_dir / "index.csv"
+    previous = _read_index(index_path) if index_path.exists() else {}
+    index_path.unlink(missing_ok=True)  # written last: an unfinished run leaves none
     manifest_dir = Path(args.manifest).parent
 
-    def extract_one(ex):
-        """Returns (row, skipped) or raises."""
-        clip_path = manifest_dir / ex.clip_path
-        data = clip_path.read_bytes()
-        sha = _sha256_bytes(data)
-        feat_name = Path(ex.clip_path).stem + ".vxf"
-        prev = previous.get(ex.clip_path)
-        if prev and prev[0] == sha and prev[1] == params_key \
-                and (out_dir / feat_name).exists():
-            return (ex.clip_path, sha, params_key, feat_name), True
-        clip = load_clip(clip_path)
-        matrix, tag = extract_matrix(clip, args.feature, frame=frame, mel=mel)
-        write_feature(str(out_dir / feat_name), matrix, tag)
-        return (ex.clip_path, sha, params_key, feat_name), False
-
-    rows, failures, skipped = [], [], 0
+    rows, failures, skipped, owners = [], [], 0, {}
     for ex in examples:
+        # flat and injective, so same-named clips in different folders stay apart
+        feat_name = quote(os.path.splitext(ex.clip_path)[0], safe="") + ".vxf"
         try:
-            row, was_skipped = extract_one(ex)
+            if owners.setdefault(feat_name, ex.clip_path) != ex.clip_path:
+                raise ConfigError(f"its feature file {feat_name} belongs to {owners[feat_name]}")
+            clip_path = manifest_dir / ex.clip_path
+            sha = hashlib.sha256(clip_path.read_bytes()).hexdigest()
+            if previous.get(ex.clip_path) == (sha, params_key, feat_name) \
+                    and (out_dir / feat_name).exists():
+                skipped += 1
+            else:
+                matrix, tag = extract_matrix(load_clip(clip_path), args.feature,
+                                             frame=frame, mel=mel)
+                write_feature(str(out_dir / feat_name), matrix, tag)
         except (VoxscreenError, OSError) as exc:
             failures.append((ex.clip_path, str(exc)))
             continue
-        rows.append(row)
-        skipped += was_skipped
+        rows.append((ex.clip_path, sha, params_key, feat_name))
 
-    (out_dir / "index.csv").write_text("path,sha256,params,feature_path\n" + "".join(
-        f"{p},{s},{k},{f}\n" for p, s, k, f in rows))
+    partial = out_dir / "index.csv.tmp"
+    with open(partial, "w", newline="") as fh:  # csv, like the manifest: paths may hold commas
+        csv.writer(fh, lineterminator="\n").writerows(
+            [("path", "sha256", "params", "feature_path"), *rows])
+    os.replace(partial, index_path)
     _write_fingerprint(out_dir, {
         "command": "extract", "manifest": args.manifest, "cohort": args.cohort,
         "feature": args.feature, "params": params_key})
@@ -123,30 +124,24 @@ def cmd_extract(args) -> int:
     return 1 if failures else 0
 
 
-def _refuse_stale(feature_dir: Path, examples, params_key: str) -> None:
-    """ConfigError when index.csv records other extraction parameters for a clip."""
-    index = _read_index(feature_dir)
-    for ex in examples:
-        recorded = index.get(ex.clip_path)
-        if recorded and recorded[1] != params_key:
-            raise ConfigError(
-                f"{feature_dir / 'index.csv'}: {ex.clip_path} was extracted with "
-                f"{recorded[1]!r} but the run asks for {params_key!r}; re-extract "
-                "or point elsewhere")
-
-
 def _collect_features(args, examples):
-    """Features for cv/gamma-sweep; reuses extracted files when present."""
-    frame = FrameParams(frame_length=args.frame_length, hop_length=args.hop_length)
-    mel = MelParams(n_mels=args.n_mels, n_mfcc=args.n_mfcc)
+    """Features for cv/gamma-sweep: the files index.csv lists for the run's
+    clips and params; clips it does not list are extracted in memory."""
+    frame, mel, params_key = _feature_params(args)
     manifest_dir = Path(args.manifest).parent
-    features = []
     feature_dir = Path(args.features) if args.features else None
-    if feature_dir:
-        _refuse_stale(feature_dir, examples, _params_key(args))
+    index = _read_index(feature_dir / "index.csv") if feature_dir else {}
+    features = []
     for ex in examples:
-        vxf = feature_dir / (Path(ex.clip_path).stem + ".vxf") if feature_dir else None
-        if vxf is not None and vxf.exists():
+        listed = index.get(ex.clip_path)
+        if listed:
+            _, recorded_key, name = listed
+            if recorded_key != params_key:
+                raise ConfigError(
+                    f"{feature_dir / 'index.csv'}: {ex.clip_path} was extracted with "
+                    f"{recorded_key!r} but the run asks for {params_key!r}; re-extract "
+                    "or point elsewhere")
+            vxf = feature_dir / name
             matrix, tag = read_feature(str(vxf))
             if tag != KIND_TAGS[args.feature]:
                 raise VoxscreenError(
@@ -159,41 +154,44 @@ def _collect_features(args, examples):
     return features
 
 
+_HYPER_FLAGS = ("epochs", "batch", "max_passes", "lr", "gamma", "C", "tol", "dropout")
+
+
 def _hyper_from_args(args) -> dict:
-    hyper = {}
-    for name in ("epochs", "batch", "max_passes"):
-        v = getattr(args, name, None)
-        if v is not None:
-            hyper[name] = int(v)
-    for name in ("lr", "gamma", "C", "tol", "dropout"):
-        v = getattr(args, name, None)
-        if v is not None:
-            hyper[name] = float(v)
-    return hyper
+    """The hyperparameter flags that were set, as argparse typed them."""
+    return {name: getattr(args, name) for name in _HYPER_FLAGS
+            if getattr(args, name, None) is not None}
 
 
-def _run_cv(args, examples, hyper: dict, out_dir: Path, label: str = "report"):
-    recipe = {"model": args.model, "feature": args.feature, "hyper": hyper,
-              "force": args.force}
-    validate_recipe(recipe)
+def _run_cv(args, runs: list[tuple[str, dict]], **fingerprinted) -> list:
+    """Cross-validate one recipe per (label, hyper) run on one collection of
+    the run's features. Writes <label>.json, .txt and _roc.csv for each, then
+    a fingerprint.json of every input the reports depend on."""
+    examples, _ = _load_examples(args.manifest, args.cohort)
+    recipes = [(label, validate_recipe(
+        {"model": args.model, "feature": args.feature, "hyper": hyper, "force": args.force}))
+        for label, hyper in runs]
     features = _collect_features(args, examples)
     labels = [ex.label for ex in examples]
-    report = cross_validate(features, labels, recipe, k=args.k, seed=args.seed)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{label}.json").write_text(report.to_json())
-    (out_dir / f"{label}.txt").write_text(report.to_table() + "\n")
-    (out_dir / f"{label}_roc.csv").write_text(report.roc_csv())
-    return report
+    reports = []
+    for label, recipe in recipes:
+        report = cross_validate(features, labels, recipe, k=args.k, seed=args.seed)
+        (out_dir / f"{label}.json").write_text(report.to_json())
+        (out_dir / f"{label}.txt").write_text(report.to_table() + "\n")
+        (out_dir / f"{label}_roc.csv").write_text(report.roc_csv())
+        reports.append(report)
+    _write_fingerprint(out_dir, {
+        "command": args.command, "manifest": args.manifest, "cohort": args.cohort,
+        "feature": args.feature, "params": _feature_params(args)[2], "model": args.model,
+        "hyper": _hyper_from_args(args), "force": args.force, "k": args.k,
+        "seed": args.seed, **fingerprinted})
+    return reports
 
 
 def cmd_cv(args) -> int:
-    examples, _ = _load_examples(args.manifest, args.cohort)
-    out_dir = Path(args.out)
-    report = _run_cv(args, examples, _hyper_from_args(args), out_dir)
-    _write_fingerprint(out_dir, {
-        "command": "cv", "manifest": args.manifest, "cohort": args.cohort,
-        "feature": args.feature, "model": args.model,
-        "hyper": _hyper_from_args(args), "k": args.k, "seed": args.seed})
+    [report] = _run_cv(args, [("report", _hyper_from_args(args))])
     if args.cohort != "all":
         print(f"cohort: {args.cohort}")
     cells = report.cells()
@@ -217,23 +215,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_gamma_sweep(args) -> int:
-    if args.model != "svm":
-        print("gamma-sweep: only the svm recipe has a gamma", file=sys.stderr)
-        return 2
     gammas = [float(g) for g in args.gammas.split(",")]
     deduped = sorted(set(gammas))
     if len(deduped) != len(gammas):
         print("warning: duplicate gammas removed", file=sys.stderr)
-    examples, _ = _load_examples(args.manifest, args.cohort)
-    out_dir = Path(args.out)
-    results = []
-    for gamma in deduped:
-        hyper = dict(_hyper_from_args(args), gamma=gamma)
-        report = _run_cv(args, examples, hyper, out_dir, label=f"gamma_{gamma:g}")
-        results.append((gamma, report.pooled_roc.auc))
-    _write_fingerprint(out_dir, {
-        "command": "gamma-sweep", "manifest": args.manifest,
-        "cohort": args.cohort, "gammas": deduped, "k": args.k, "seed": args.seed})
+    hyper = _hyper_from_args(args)
+    reports = _run_cv(args, [(f"gamma_{gamma:g}", dict(hyper, gamma=gamma))
+                             for gamma in deduped], gammas=deduped)
+    results = [(gamma, report.pooled_roc.auc) for gamma, report in zip(deduped, reports)]
     best = max(results, key=lambda r: r[1])
     print("gamma      pooled_auc")
     for gamma, auc in results:
@@ -311,11 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("gamma-sweep", help="cross-validate over a gamma grid")
-    p.add_argument("--model", default="svm")
+    p = sub.add_parser("gamma-sweep", help="cross-validate an svm over a gamma grid")
     p.add_argument("--gammas", required=True, help="comma-separated values")
     _add_cv_flags(p)
-    p.set_defaults(fn=cmd_gamma_sweep)
+    p.set_defaults(fn=cmd_gamma_sweep, model="svm")
 
     p = sub.add_parser("report", help="pretty-print a report.json")
     p.add_argument("report")
@@ -327,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except VoxscreenError as exc:
+    except (VoxscreenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,7 +4,8 @@ recipe resolution behind cross_validate and the CLI.
 Supported (model, feature) pairings mirror the screening experiments:
 LR / SVM / LSTM read mean-MFCC vectors, the CNN reads MFCC or
 Mel-spectrogram images, and a logistic head reads mean-pooled encoder
-features. Anything else needs force=True in the recipe.
+features. Anything else needs force=True in the recipe, and even then the
+model must read the feature's shape: images for the CNN, vectors otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .audio_io import AudioClip, CANONICAL_RATE, load_wav, peak_normalize, resample_linear
 from .dsp import FrameParams, MelParams, mel_spectrogram, mfcc, mfcc_mean_vector
 from .encoder import EncoderConfig, encoder_apply
-from .errors import ConfigError
+from .errors import ConfigError, FeatureKindMismatchError
 from .features_io import FEATURE_KINDS, IMAGE_KINDS, KIND_TAGS
 from .learners.models import MODEL_KINDS, MODELS, TrainedModel, model_input
 from .render import FeatureImage, fit_standardizer, render_image
@@ -84,6 +85,10 @@ def validate_recipe(recipe: dict) -> dict:
         raise ConfigError(
             f"({model}, {feature}) is not one of the supported pairings; "
             "pass force=true to run it anyway")
+    images = MODELS[model].images
+    if (feature in IMAGE_KINDS) != images:  # force cannot bridge this
+        raise FeatureKindMismatchError(
+            f"{'image' if images else 'vector'} model cannot use {feature!r} features")
     accepted = MODELS[model].hyper
     for key in recipe.get("hyper", {}):
         if key not in accepted:

@@ -1,10 +1,12 @@
 """Command surface: synth, extract, cv, gamma-sweep, report."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+import voxscreen.cli
 from voxscreen.cli import main
 from voxscreen.features_io import read_feature
 
@@ -15,6 +17,31 @@ def corpus(tmp_path_factory):
     assert main(["synth", "8", "8", "--seed", "5", "--duration", "0.6",
                  "--out", str(root)]) == 0
     return root
+
+
+def _counting(monkeypatch, name, fail_on=None):
+    """Replace voxscreen.cli.<name> with a wrapper that counts its calls and
+    raises RuntimeError on call number fail_on."""
+    real, calls = getattr(voxscreen.cli, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == fail_on:
+            raise RuntimeError("interrupted")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(voxscreen.cli, name, wrapper)
+    return calls
+
+
+def _extract(corpus, out, *flags):
+    return main(["extract", "--manifest", str(corpus / "manifest.csv"),
+                 "--feature", "mfcc_vector", "--out", str(out), *flags])
+
+
+def _cv(corpus, out, *flags):
+    return main(["cv", "--manifest", str(corpus / "manifest.csv"),
+                 "--feature", "mfcc_vector", "--model", "logreg",
+                 "--k", "4", "--seed", "1", "--out", str(out), *flags])
 
 
 class TestSynth:
@@ -57,6 +84,25 @@ class TestExtract:
               "--feature", "mfcc_vector", "--out", str(out)])
         said = capsys.readouterr().out
         assert "16 up to date" in said
+
+    def test_comma_in_clip_path(self, corpus, tmp_path, capsys):
+        lines = (corpus / "manifest.csv").read_text().splitlines()
+        clip, rest = lines[1].split(",", 1)
+        shutil.copy(corpus / clip, tmp_path / "a,b.wav")
+        (tmp_path / "manifest.csv").write_text(f'{lines[0]}\n"a,b.wav",{rest}\n')
+        assert _extract(tmp_path, tmp_path / "feats") == 0
+        assert _extract(tmp_path, tmp_path / "feats") == 0
+        assert "1 up to date" in capsys.readouterr().out
+
+    def test_clips_differing_only_in_suffix(self, corpus, tmp_path, capsys):
+        lines = (corpus / "manifest.csv").read_text().splitlines()
+        clip, rest = lines[1].split(",", 1)
+        for name in ("x.wav", "x.bin"):
+            shutil.copy(corpus / clip, tmp_path / name)
+        (tmp_path / "manifest.csv").write_text(f"{lines[0]}\nx.wav,{rest}\nx.bin,{rest}\n")
+        assert _extract(tmp_path, tmp_path / "feats") == 1
+        assert "x.bin: its feature file x.vxf belongs to x.wav" in capsys.readouterr().err
+        assert (tmp_path / "feats" / "index.csv").read_text().splitlines()[1].startswith("x.wav,")
 
     def test_image_features(self, corpus, tmp_path):
         out = tmp_path / "imgs"
@@ -181,6 +227,62 @@ class TestCv:
         assert "mfcc_vector:2048:512:64:40" in err
         assert not (tmp_path / "x" / "report.json").exists()
 
+    def test_same_named_clips_in_participant_folders(self, corpus, tmp_path):
+        # one folder per participant, the same recording name in each
+        folders = tmp_path / "folders"
+        lines = (corpus / "manifest.csv").read_text().splitlines()
+        rows = [lines[0]]
+        for i, line in enumerate(lines[1:]):
+            clip, rest = line.split(",", 1)
+            (folders / f"p{i:02d}").mkdir(parents=True)
+            shutil.copy(corpus / clip, folders / f"p{i:02d}" / "cough.wav")
+            rows.append(f"p{i:02d}/cough.wav,{rest}")
+        (folders / "manifest.csv").write_text("\n".join(rows) + "\n")
+        assert _extract(folders, tmp_path / "feats") == 0
+        assert len(list((tmp_path / "feats").glob("*.vxf"))) == 16
+        assert (tmp_path / "feats" / "p03%2Fcough.vxf").exists()
+        assert _cv(folders, tmp_path / "disk", "--features", str(tmp_path / "feats")) == 0
+        assert _cv(folders, tmp_path / "memory") == 0
+        assert (tmp_path / "disk" / "report.json").read_bytes() == \
+            (tmp_path / "memory" / "report.json").read_bytes()
+
+    def test_directory_without_index_refused(self, corpus, tmp_path, capsys):
+        _extract(corpus, tmp_path / "feats")
+        (tmp_path / "feats" / "index.csv").unlink()
+        capsys.readouterr()
+        assert _cv(corpus, tmp_path / "x", "--features", str(tmp_path / "feats")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "index.csv" in err
+        assert not (tmp_path / "x" / "report.json").exists()
+
+    def test_interrupted_extract_leaves_no_index(self, corpus, tmp_path, monkeypatch):
+        feats = tmp_path / "feats"
+        assert _extract(corpus, feats) == 0
+        _counting(monkeypatch, "extract_matrix", fail_on=3)
+        with pytest.raises(RuntimeError):
+            _extract(corpus, feats, "--n-mfcc", "20")
+        assert not (feats / "index.csv").exists()
+
+    def test_missing_listed_feature_file(self, corpus, tmp_path, capsys):
+        feats = tmp_path / "feats"
+        _extract(corpus, feats)
+        gone = sorted(feats.glob("*.vxf"))[5]
+        gone.unlink()
+        capsys.readouterr()
+        assert _cv(corpus, tmp_path / "x", "--features", str(feats)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and gone.name in err
+        assert "Traceback" not in err
+
+    def test_force_shape_mismatch_extracts_nothing(self, corpus, tmp_path, monkeypatch,
+                                                   capsys):
+        calls = _counting(monkeypatch, "extract_matrix")
+        code = main(["cv", "--manifest", str(corpus / "manifest.csv"),
+                     "--feature", "melspec_image", "--model", "svm", "--force",
+                     "--k", "2", "--out", str(tmp_path / "x")])
+        assert code == 1 and calls == []
+        assert "vector model cannot use 'melspec_image'" in capsys.readouterr().err
+
     def test_inapplicable_hyper_flags_rejected(self, corpus, tmp_path, capsys):
         code = main(["cv", "--manifest", str(corpus / "manifest.csv"),
                      "--feature", "mfcc_vector", "--model", "logreg",
@@ -212,6 +314,39 @@ class TestGammaSweep:
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if l and not l.startswith("gamma")]
         assert len(lines) == 1
+
+
+    def test_reads_each_feature_once(self, corpus, tmp_path, monkeypatch):
+        feats = tmp_path / "feats"
+        _extract(corpus, feats)
+        calls = _counting(monkeypatch, "read_feature")
+        assert main(["gamma-sweep", "--manifest", str(corpus / "manifest.csv"),
+                     "--feature", "mfcc_vector", "--features", str(feats),
+                     "--gammas", "0.0001,0.001,0.01",
+                     "--k", "4", "--seed", "2", "--out", str(tmp_path / "sweep")]) == 0
+        assert len(calls) == 16
+
+    def test_fingerprint_pins_feature_and_hyper(self, corpus, tmp_path):
+        lines = (corpus / "manifest.csv").read_text().splitlines()
+        pos = [l for l in lines[1:] if l.split(",")[1] == "1"]
+        neg = [l for l in lines[1:] if l.split(",")[1] == "0"]
+        (corpus / "four.csv").write_text("\n".join([lines[0]] + pos[:2] + neg[:2]) + "\n")
+        fingerprints = set()
+        for name, flags in (("base", []), ("C", ["--C", "2"]),
+                            ("n_mfcc", ["--n-mfcc", "20"]),
+                            ("encoder", ["--feature", "encoder", "--force"])):
+            out = tmp_path / name
+            assert main(["gamma-sweep", "--manifest", str(corpus / "four.csv"),
+                         "--feature", "mfcc_vector", "--gammas", "0.001",
+                         "--k", "2", "--seed", "2", "--out", str(out), *flags]) == 0
+            fingerprints.add(json.loads((out / "fingerprint.json").read_text())["fingerprint"])
+        assert len(fingerprints) == 4
+
+    def test_always_svm(self, corpus, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["gamma-sweep", "--model", "svm", "--manifest", str(corpus / "manifest.csv"),
+                  "--feature", "mfcc_vector", "--gammas", "0.001",
+                  "--out", str(tmp_path / "x")])
 
 
 class TestReport:

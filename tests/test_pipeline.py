@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from voxscreen.audio_io import synth_clip
-from voxscreen.errors import ConfigError
+from voxscreen.errors import ConfigError, FeatureKindMismatchError
 from voxscreen.evaluation import cross_validate
 from voxscreen.pipeline import (
     ALLOWED_PAIRS,
@@ -73,6 +73,12 @@ class TestRecipeValidation:
         with pytest.raises(ConfigError):
             validate_recipe({"model": "svm", "feature": "melspec_image"})
         validate_recipe({"model": "svm", "feature": "encoder", "force": True})
+
+    @pytest.mark.parametrize("model,feature", [("svm", "melspec_image"),
+                                               ("cnn", "mfcc_vector")])
+    def test_force_cannot_bridge_image_and_vector(self, model, feature):
+        with pytest.raises(FeatureKindMismatchError, match=f"cannot use '{feature}'"):
+            validate_recipe({"model": model, "feature": feature, "force": True})
 
     def test_hyper_keys_the_model_does_not_read(self):
         validate_recipe({"model": "svm", "feature": "mfcc_vector",
