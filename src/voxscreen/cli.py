@@ -20,7 +20,7 @@ from .datasets import CohortFilter, apply_cohort, generate_synthetic_corpus, par
 from .dsp import FrameParams, MelParams
 from .errors import ConfigError, CorruptFileError, VoxscreenError
 from .evaluation import METRIC_NAMES, config_fingerprint, cross_validate
-from .features_io import FEATURE_KINDS, KIND_TAGS, read_feature, write_feature
+from .features_io import FEATURE_KINDS, read_feature, write_feature
 from .learners.models import MODEL_KINDS
 from .pipeline import extract_matrix, feature_from_matrix, load_clip, validate_recipe
 
@@ -32,9 +32,12 @@ def _default_seed() -> int:
 def _cohort_from_flag(flag: str) -> CohortFilter:
     if flag == "all":
         return CohortFilter("all")
-    if flag.startswith("positives_within_days"):
-        _, _, arg = flag.partition(":")
-        return CohortFilter("positives_within_days", days=int(arg or 14))
+    kind, _, arg = flag.partition(":")
+    if kind == "positives_within_days":
+        try:
+            return CohortFilter(kind, days=int(arg or 14))
+        except ValueError:
+            raise ConfigError(f"cohort {flag!r} needs a whole number of days > 0") from None
     if flag == "covid_vs_cold_symptomatic":
         return CohortFilter("covid_vs_cold_symptomatic")
     raise VoxscreenError(f"unknown cohort {flag!r}")
@@ -58,8 +61,12 @@ def _write_fingerprint(out_dir: Path, payload: dict) -> str:
 def _feature_params(args) -> tuple[FrameParams, MelParams, str]:
     """Frame and mel parameters, and the params key index.csv records for them:
     what an extracted feature depends on besides the clip bytes."""
-    return (FrameParams(frame_length=args.frame_length, hop_length=args.hop_length),
-            MelParams(n_mels=args.n_mels, n_mfcc=args.n_mfcc),
+    try:
+        frame = FrameParams(frame_length=args.frame_length, hop_length=args.hop_length)
+        mel = MelParams(n_mels=args.n_mels, n_mfcc=args.n_mfcc)
+    except ValueError as exc:
+        raise ConfigError(f"feature parameters: {exc}") from None
+    return (frame, mel,
             f"{args.feature}:{args.frame_length}:{args.hop_length}:{args.n_mels}:{args.n_mfcc}")
 
 
@@ -101,9 +108,9 @@ def cmd_extract(args) -> int:
                     and (out_dir / feat_name).exists():
                 skipped += 1
             else:
-                matrix, tag = extract_matrix(load_clip(clip_path), args.feature,
-                                             frame=frame, mel=mel)
-                write_feature(str(out_dir / feat_name), matrix, tag)
+                matrix = extract_matrix(load_clip(clip_path), args.feature,
+                                        frame=frame, mel=mel)
+                write_feature(str(out_dir / feat_name), matrix, args.feature)
         except (VoxscreenError, OSError) as exc:
             failures.append((ex.clip_path, str(exc)))
             continue
@@ -142,14 +149,14 @@ def _collect_features(args, examples):
                     f"{recorded_key!r} but the run asks for {params_key!r}; re-extract "
                     "or point elsewhere")
             vxf = feature_dir / name
-            matrix, tag = read_feature(str(vxf))
-            if tag != KIND_TAGS[args.feature]:
+            matrix, kind = read_feature(str(vxf))
+            if kind != args.feature:
                 raise VoxscreenError(
-                    f"{vxf} holds {tag!r} features but the run asks for "
+                    f"{vxf} holds {kind!r} features but the run asks for "
                     f"{args.feature!r}; re-extract or point elsewhere")
         else:
             clip = load_clip(manifest_dir / ex.clip_path)
-            matrix, _ = extract_matrix(clip, args.feature, frame=frame, mel=mel)
+            matrix = extract_matrix(clip, args.feature, frame=frame, mel=mel)
         features.append(feature_from_matrix(matrix, args.feature))
     return features
 
@@ -167,6 +174,8 @@ def _run_cv(args, runs: list[tuple[str, dict]], **fingerprinted) -> list:
     """Cross-validate one recipe per (label, hyper) run on one collection of
     the run's features. Writes <label>.json, .txt and _roc.csv for each, then
     a fingerprint.json of every input the reports depend on."""
+    if args.k < 2:
+        raise ConfigError(f"--k {args.k}: cross-validation needs at least 2 folds")
     examples, _ = _load_examples(args.manifest, args.cohort)
     recipes = [(label, validate_recipe(
         {"model": args.model, "feature": args.feature, "hyper": hyper, "force": args.force}))
@@ -215,13 +224,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_gamma_sweep(args) -> int:
-    gammas = [float(g) for g in args.gammas.split(",")]
+    try:
+        gammas = [float(g) for g in args.gammas.split(",")]
+    except ValueError:
+        raise ConfigError(f"--gammas {args.gammas!r} is not a list of numbers") from None
     deduped = sorted(set(gammas))
     if len(deduped) != len(gammas):
         print("warning: duplicate gammas removed", file=sys.stderr)
+    labels = {}
+    for gamma in deduped:
+        other = labels.setdefault(f"gamma_{gamma:g}", gamma)
+        if other != gamma:
+            raise ConfigError(f"gammas {other!r} and {gamma!r} would share gamma_{gamma:g}.json")
     hyper = _hyper_from_args(args)
-    reports = _run_cv(args, [(f"gamma_{gamma:g}", dict(hyper, gamma=gamma))
-                             for gamma in deduped], gammas=deduped)
+    reports = _run_cv(args, [(label, dict(hyper, gamma=gamma))
+                             for label, gamma in labels.items()], gammas=deduped)
     results = [(gamma, report.pooled_roc.auc) for gamma, report in zip(deduped, reports)]
     best = max(results, key=lambda r: r[1])
     print("gamma      pooled_auc")
@@ -232,14 +249,17 @@ def cmd_gamma_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = json.loads(Path(args.report).read_text())
-    print(f"fingerprint: {doc['fingerprint']}")
-    print(f"recipe: {json.dumps(doc['recipe'], sort_keys=True)}")
-    print(f"k={doc['k']} seed={doc['seed']}")
-    for name in METRIC_NAMES:
-        print(f"{name}: {doc['cells'][name]}")
-    print(f"pooled AUC: {doc['pooled_auc']:.4f}")
-    print(f"mean fold AUC: {doc['mean_fold_auc']:.4f}")
+    try:  # only the file's content can fail here: not JSON, a missing key, a wrong type
+        doc = json.loads(Path(args.report).read_text())
+        lines = [f"fingerprint: {doc['fingerprint']}",
+                 f"recipe: {json.dumps(doc['recipe'], sort_keys=True)}",
+                 f"k={doc['k']} seed={doc['seed']}",
+                 *(f"{name}: {doc['cells'][name]}" for name in METRIC_NAMES),
+                 f"pooled AUC: {doc['pooled_auc']:.4f}",
+                 f"mean fold AUC: {doc['mean_fold_auc']:.4f}"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptFileError(f"{args.report}: not a voxscreen report ({exc!r})") from None
+    print("\n".join(lines))
     return 0
 
 

@@ -54,8 +54,8 @@ class MelParams:
     log_floor: float = LOG_FLOOR_DEFAULT
 
     def __post_init__(self):
-        if self.n_mfcc > self.n_mels:
-            raise ValueError("n_mfcc must not exceed n_mels")
+        if not 0 < self.n_mfcc <= self.n_mels:
+            raise ValueError("need 0 < n_mfcc <= n_mels")
         if self.log_floor <= 0:
             raise ValueError("log_floor must be positive")
 
@@ -64,22 +64,6 @@ class MelParams:
         if not (self.f_min < f_max <= sample_rate / 2.0):
             raise ValueError("need f_min < f_max <= Nyquist")
         return f_max
-
-
-@dataclass(frozen=True)
-class MelSpectrogram:
-    values: np.ndarray  # [n_frames, n_mels], natural-log power
-    frame_params: FrameParams
-    mel_params: MelParams
-    sample_rate: int
-
-
-@dataclass(frozen=True)
-class MfccMatrix:
-    values: np.ndarray  # [n_frames, n_mfcc]
-    frame_params: FrameParams
-    mel_params: MelParams
-    sample_rate: int
 
 
 def frame_count(n_samples: int, p: FrameParams) -> int:
@@ -160,12 +144,11 @@ def mel_filterbank(sample_rate: int, p: FrameParams = FrameParams(),
 
 
 def mel_spectrogram(clip: AudioClip, p: FrameParams = FrameParams(),
-                    m: MelParams = MelParams()) -> MelSpectrogram:
-    """Natural-log mel power per frame, floored at m.log_floor."""
+                    m: MelParams = MelParams()) -> np.ndarray:
+    """Natural-log mel power per frame, [n_frames, n_mels], floored at m.log_floor."""
     power = stft_power(clip, p)
     bank = mel_filterbank(clip.sample_rate, p, m)
-    values = np.log(np.maximum(power @ bank.T, m.log_floor))
-    return MelSpectrogram(values, p, m, clip.sample_rate)
+    return np.log(np.maximum(power @ bank.T, m.log_floor))
 
 
 def _dct2_ortho(n: int) -> np.ndarray:
@@ -177,15 +160,14 @@ def _dct2_ortho(n: int) -> np.ndarray:
 
 
 def mfcc(clip: AudioClip, p: FrameParams = FrameParams(),
-         m: MelParams = MelParams()) -> MfccMatrix:
-    """First n_mfcc orthonormal DCT-II coefficients of each log-mel row."""
-    spec = mel_spectrogram(clip, p, m)
+         m: MelParams = MelParams()) -> np.ndarray:
+    """First n_mfcc orthonormal DCT-II coefficients per log-mel row: [n_frames, n_mfcc]."""
     basis = _dct2_ortho(m.n_mels)[: m.n_mfcc]
-    return MfccMatrix(spec.values @ basis.T, p, m, clip.sample_rate)
+    return mel_spectrogram(clip, p, m) @ basis.T
 
 
-def mfcc_mean_vector(mf: MfccMatrix) -> np.ndarray:
-    """Per-coefficient mean over frames; the classic 40-dim clip vector."""
-    if mf.values.shape[0] == 0:
+def mfcc_mean_vector(coefficients: np.ndarray) -> np.ndarray:
+    """Per-coefficient mean over the frames of mfcc(); the classic 40-dim clip vector."""
+    if coefficients.shape[0] == 0:
         raise DegenerateInputError("cannot average zero frames")
-    return mf.values.mean(axis=0)
+    return coefficients.mean(axis=0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioClip, CANONICAL_RATE
-from .errors import DegenerateInputError, WeightShapeMismatchError
+from .errors import CorruptFileError, DegenerateInputError, WeightShapeMismatchError
 
 ENCODER_STRIDES = (5, 2, 2, 2, 2, 2, 2)
 ENCODER_KERNELS = (10, 3, 3, 3, 3, 2, 2)
@@ -112,19 +112,26 @@ def save_weights(weights: EncoderWeights, path: str) -> None:
 def load_weights(path: str) -> EncoderWeights:
     data = open(path, "rb").read()
     if data[:4] != WEIGHT_MAGIC:
-        raise WeightShapeMismatchError("not a VXW1 weight file")
-    (n_layers,) = struct.unpack_from("<I", data, 4)
-    pos = 8
+        raise CorruptFileError(f"{path}: not a VXW1 weight file")
+    pos = 4
+
+    def take(n_bytes: int) -> bytes:
+        nonlocal pos
+        if pos + n_bytes > len(data):
+            raise CorruptFileError(f"{path}: VXW1 file cut short at byte {len(data)}")
+        pos += n_bytes
+        return data[pos - n_bytes:pos]
+
+    (n_layers,) = struct.unpack("<I", take(4))
     layers = []
     for _ in range(n_layers):
-        kernel, _stride, in_ch, out_ch = struct.unpack_from("<IIII", data, pos)
-        pos += 16
-        n_w = out_ch * in_ch * kernel
-        w = np.frombuffer(data, dtype="<f4", count=n_w, offset=pos).astype(np.float64)
-        pos += 4 * n_w
-        b = np.frombuffer(data, dtype="<f4", count=out_ch, offset=pos).astype(np.float64)
-        pos += 4 * out_ch
-        layers.append((w.reshape(out_ch, in_ch, kernel), b))
+        kernel, _stride, in_ch, out_ch = struct.unpack("<IIII", take(16))
+        w = np.frombuffer(take(4 * out_ch * in_ch * kernel), dtype="<f4")
+        b = np.frombuffer(take(4 * out_ch), dtype="<f4")
+        layers.append((w.astype(np.float64).reshape(out_ch, in_ch, kernel),
+                       b.astype(np.float64)))
+    if pos != len(data):
+        raise CorruptFileError(f"{path}: {len(data) - pos} bytes after the last VXW1 layer")
     return EncoderWeights(tuple(layers))
 
 

@@ -94,8 +94,8 @@ class ConfigError(VoxscreenError):
 # --- stored files ---
 
 class CorruptFileError(VoxscreenError):
-    """A stored file (VXF1, VXM1, an extract's index.csv) has a bad magic,
-    an unknown tag or a short or garbled payload."""
+    """A stored file (VXF1, VXM1, VXW1, an extract's index.csv) has a bad
+    magic, an unknown tag or a short or garbled payload."""
 
 
 # --- manifests ---

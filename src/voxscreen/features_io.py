@@ -8,39 +8,38 @@ import numpy as np
 
 from .errors import CorruptFileError
 
-# feature kind -> the VXF1 tag its stored matrix carries
-KIND_TAGS = {"mfcc_vector": "vector", "mfcc_image": "mfcc",
-             "melspec_image": "melspec", "encoder": "encoder"}
-FEATURE_KINDS = tuple(KIND_TAGS)
+# feature kind -> the VXF1 tag byte its stored matrix carries
+FEATURE_TAGS = {"mfcc_vector": 2, "mfcc_image": 0, "melspec_image": 1, "encoder": 3}
+FEATURE_KINDS = tuple(FEATURE_TAGS)
 IMAGE_KINDS = ("mfcc_image", "melspec_image")  # CNN input; the other kinds are vectors
 
 FEATURE_MAGIC = b"VXF1"
-FEATURE_TAGS = {"mfcc": 0, "melspec": 1, "vector": 2, "encoder": 3}
-TAG_NAMES = {v: k for k, v in FEATURE_TAGS.items()}
 _HEADER = struct.Struct("<4sIIB")
 
 
-def write_feature(path: str, matrix: np.ndarray, kind: str) -> None:
-    """Dump a 2-D float matrix with its feature-kind tag."""
+def write_feature(path: str, matrix: np.ndarray, feature_kind: str) -> None:
+    """Dump a 2-D float matrix with its feature kind's tag byte."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     rows, cols = matrix.shape
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(FEATURE_MAGIC, rows, cols, FEATURE_TAGS[kind]))
+        fh.write(_HEADER.pack(FEATURE_MAGIC, rows, cols, FEATURE_TAGS[feature_kind]))
         fh.write(matrix.astype("<f4").tobytes())
 
 
 def read_feature(path: str) -> tuple[np.ndarray, str]:
+    """The stored matrix and its feature kind."""
     data = open(path, "rb").read()
     if data[:4] != FEATURE_MAGIC:
         raise CorruptFileError(f"{path}: not a VXF1 feature file")
     if len(data) < _HEADER.size:
         raise CorruptFileError(f"{path}: VXF1 header cut short")
     _, rows, cols, tag = _HEADER.unpack_from(data)
-    if tag not in TAG_NAMES:
+    kind = next((k for k, value in FEATURE_TAGS.items() if value == tag), None)
+    if kind is None:
         raise CorruptFileError(f"{path}: unknown VXF1 feature tag {tag}")
     if len(data) != _HEADER.size + 4 * rows * cols:
         raise CorruptFileError(
             f"{path}: {len(data)} bytes, but a {rows}x{cols} VXF1 matrix needs "
             f"{_HEADER.size + 4 * rows * cols}")
     matrix = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
-    return matrix.astype(np.float64).reshape(rows, cols), TAG_NAMES[tag]
+    return matrix.astype(np.float64).reshape(rows, cols), kind

@@ -18,7 +18,7 @@ from .audio_io import AudioClip, CANONICAL_RATE, load_wav, peak_normalize, resam
 from .dsp import FrameParams, MelParams, mel_spectrogram, mfcc, mfcc_mean_vector
 from .encoder import EncoderConfig, encoder_apply
 from .errors import ConfigError, FeatureKindMismatchError
-from .features_io import FEATURE_KINDS, IMAGE_KINDS, KIND_TAGS
+from .features_io import FEATURE_KINDS, IMAGE_KINDS
 from .learners.models import MODEL_KINDS, MODELS, TrainedModel, model_input
 from .render import FeatureImage, fit_standardizer, render_image
 
@@ -42,19 +42,18 @@ def load_clip(path, peak: bool = True) -> AudioClip:
 def extract_matrix(clip: AudioClip, feature_kind: str,
                    frame: FrameParams = FrameParams(),
                    mel: MelParams = MelParams(),
-                   encoder_cfg: EncoderConfig = EncoderConfig()) -> tuple[np.ndarray, str]:
-    """The storable 2-D form of each feature kind, plus its VXF1 tag."""
+                   encoder_cfg: EncoderConfig = EncoderConfig()) -> np.ndarray:
+    """The storable 2-D form of each feature kind: a [1, n_mfcc] mean vector,
+    a [150, 150] gray plane or an [n_frames, channels] encoder sequence."""
     if feature_kind == "mfcc_vector":
-        matrix = mfcc_mean_vector(mfcc(clip, frame, mel))[None, :]
-    elif feature_kind == "mfcc_image":
-        matrix = render_image(mfcc(clip, frame, mel)).pixels[:, :, 0]
-    elif feature_kind == "melspec_image":
-        matrix = render_image(mel_spectrogram(clip, frame, mel)).pixels[:, :, 0]
-    elif feature_kind == "encoder":
-        matrix = encoder_apply(clip, encoder_cfg)
-    else:
-        raise ConfigError(f"unknown feature kind {feature_kind!r}")
-    return matrix, KIND_TAGS[feature_kind]
+        return mfcc_mean_vector(mfcc(clip, frame, mel))[None, :]
+    if feature_kind == "mfcc_image":
+        return render_image(mfcc(clip, frame, mel))
+    if feature_kind == "melspec_image":
+        return render_image(mel_spectrogram(clip, frame, mel))
+    if feature_kind == "encoder":
+        return encoder_apply(clip, encoder_cfg)
+    raise ConfigError(f"unknown feature kind {feature_kind!r}")
 
 
 def feature_from_matrix(matrix: np.ndarray, feature_kind: str):
@@ -62,16 +61,15 @@ def feature_from_matrix(matrix: np.ndarray, feature_kind: str):
     if feature_kind == "mfcc_vector":
         return matrix.ravel()
     if feature_kind in IMAGE_KINDS:
-        pixels = np.repeat(matrix[:, :, None], 3, axis=2)
-        return FeatureImage(pixels=pixels, source_kind=KIND_TAGS[feature_kind])
+        # a read-only view of the plane in all three channels; model_input copies it
+        return FeatureImage(np.broadcast_to(matrix[:, :, None], (*matrix.shape, 3)))
     if feature_kind == "encoder":
         return matrix.mean(axis=0)  # mean-pool the frame sequence
     raise ConfigError(f"unknown feature kind {feature_kind!r}")
 
 
 def extract_feature(clip: AudioClip, feature_kind: str, **kwargs):
-    matrix, _ = extract_matrix(clip, feature_kind, **kwargs)
-    return feature_from_matrix(matrix, feature_kind)
+    return feature_from_matrix(extract_matrix(clip, feature_kind, **kwargs), feature_kind)
 
 
 def validate_recipe(recipe: dict) -> dict:

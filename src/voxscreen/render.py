@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import MelSpectrogram, MfccMatrix
 from .errors import DegenerateInputError, DimensionMismatchError
 
 IMAGE_SIZE = 150
@@ -17,14 +16,13 @@ IMAGE_SIZE = 150
 
 @dataclass(frozen=True)
 class FeatureImage:
-    """[150, 150, 3] grayscale-replicated tensor with values in [0, 1].
+    """[150, 150, 3] CNN input in [0, 1]: one gray plane in all three channels.
 
     Rows run top to bottom; coefficient/band index ascends upward, frames
     run left to right.
     """
 
     pixels: np.ndarray
-    source_kind: str
 
 
 def _resize_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -48,19 +46,13 @@ def _resize_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - wy) + bottom * wy
 
 
-def render_image(m) -> FeatureImage:
-    """Min-max scale a [n_frames, n_bands] matrix and resize to 150x150x3.
+def render_image(m) -> np.ndarray:
+    """Min-max scale a [n_frames, n_bands] matrix into a [150, 150] gray plane.
 
-    A constant matrix maps to all 0.5; the three channels are identical
-    copies of the gray plane. Any affine rescaling a*M + b (a > 0) of the
-    input renders to the same pixels.
+    A constant matrix maps to all 0.5. Any affine rescaling a*M + b (a > 0)
+    of the input renders to the same pixels.
     """
-    if isinstance(m, MfccMatrix):
-        values, kind = m.values, "mfcc"
-    elif isinstance(m, MelSpectrogram):
-        values, kind = m.values, "melspec"
-    else:
-        values, kind = np.asarray(m, dtype=np.float64), "raw"
+    values = np.asarray(m, dtype=np.float64)
     if values.size == 0:
         raise DegenerateInputError("cannot render an empty matrix")
 
@@ -69,13 +61,12 @@ def render_image(m) -> FeatureImage:
     # grid rows = band index ascending downward; flip so bands ascend upward
     grid = scaled.T
     resized = _resize_bilinear(grid, IMAGE_SIZE, IMAGE_SIZE)[::-1, :]
-    pixels = np.repeat(resized[:, :, None], 3, axis=2)
-    return FeatureImage(pixels=np.clip(pixels, 0.0, 1.0), source_kind=kind)
+    return np.clip(resized, 0.0, 1.0)
 
 
-def image_to_png(image: FeatureImage) -> bytes:
-    """8-bit RGB PNG bytes; pixel value = round(255 * float value)."""
-    data = np.round(image.pixels * 255.0).astype(np.uint8)
+def image_to_png(plane: np.ndarray) -> bytes:
+    """8-bit RGB PNG bytes of a gray plane; pixel value = round(255 * float value)."""
+    data = np.repeat(np.round(plane * 255.0).astype(np.uint8)[:, :, None], 3, axis=2)
     h, w, _ = data.shape
     raw = b"".join(b"\x00" + data[r].tobytes() for r in range(h))
 

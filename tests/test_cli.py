@@ -71,7 +71,7 @@ class TestExtract:
         files = sorted(out.glob("*.vxf"))
         assert len(files) == 16
         matrix, kind = read_feature(str(files[0]))
-        assert kind == "vector"
+        assert kind == "mfcc_vector"
         assert matrix.shape == (1, 40)
         assert (out / "index.csv").exists()
 
@@ -109,7 +109,7 @@ class TestExtract:
         assert main(["extract", "--manifest", str(corpus / "manifest.csv"),
                      "--feature", "melspec_image", "--out", str(out)]) == 0
         matrix, kind = read_feature(str(sorted(out.glob("*.vxf"))[0]))
-        assert kind == "melspec"
+        assert kind == "melspec_image"
         assert matrix.shape == (150, 150)
         from voxscreen.pipeline import feature_from_matrix
         image = feature_from_matrix(matrix, "melspec_image")
@@ -342,6 +342,16 @@ class TestGammaSweep:
             fingerprints.add(json.loads((out / "fingerprint.json").read_text())["fingerprint"])
         assert len(fingerprints) == 4
 
+    def test_gammas_sharing_a_report_name_refused(self, corpus, tmp_path, capsys,
+                                                  monkeypatch):
+        calls = _counting(monkeypatch, "cross_validate")
+        out = tmp_path / "sweep"
+        assert main(["gamma-sweep", "--manifest", str(corpus / "manifest.csv"),
+                     "--feature", "mfcc_vector", "--gammas", "0.001,0.0010000001",
+                     "--k", "4", "--seed", "2", "--out", str(out)]) == 1
+        assert "gamma_0.001.json" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_always_svm(self, corpus, tmp_path):
         with pytest.raises(SystemExit):
             main(["gamma-sweep", "--model", "svm", "--manifest", str(corpus / "manifest.csv"),
@@ -359,3 +369,27 @@ class TestReport:
         assert main(["report", str(out / "report.json")]) == 0
         said = capsys.readouterr().out
         assert "fingerprint" in said and "pooled AUC" in said
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "not json"],
+    ["report", '{"fingerprint": "0"}'],
+    ["cv", "--cohort", "positives_within_days:abc"],
+    ["cv", "--cohort", "positives_within_days:0"],
+    ["cv", "--k", "1"],
+    ["cv", "--frame-length", "1000"],
+    ["cv", "--n-mfcc", "100"],
+    ["cv", "--n-mels", "0", "--n-mfcc", "0"],
+    ["gamma-sweep", "--gammas", "0.1,abc"],
+])
+def test_bad_value_is_an_error_line_not_a_traceback(argv, corpus, tmp_path, capsys):
+    command, *flags = argv
+    if command == "report":
+        (tmp_path / "report.json").write_text(flags[0])
+        flags = [str(tmp_path / "report.json")]
+    else:
+        flags = ["--manifest", str(corpus / "manifest.csv"), "--feature", "mfcc_vector",
+                 "--k", "4", "--out", str(tmp_path / "out"),
+                 *(["--model", "logreg"] if command == "cv" else []), *flags]
+    assert main([command, *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,11 +1,13 @@
-"""VXM1 bytes pinned per model kind; VXF1/VXM1 decoders under damage."""
+"""VXF1 and VXM1 bytes pinned per kind; VXF1/VXM1/VXW1/WAV decoders under damage."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from voxscreen.errors import CorruptFileError
+from voxscreen.audio_io import AudioClip, load_wav, save_wav
+from voxscreen.encoder import EncoderWeights, load_weights, save_weights
+from voxscreen.errors import CorruptFileError, VoxscreenError
 from voxscreen.features_io import FEATURE_TAGS, read_feature, write_feature
 from voxscreen.learners import TrainedModel, load_model, save_model
 from voxscreen.learners.cnn import CnnConfig, CnnModel, init_cnn_params
@@ -62,6 +64,33 @@ def test_vxm1_bytes_match_golden(kind, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_VXM1_SHA256[kind]
 
 
+def hand_built_features():
+    """One small matrix per feature kind, exact in float32."""
+    return {
+        "mfcc_vector": np.linspace(-2.0, 2.0, 8)[None, :],
+        "mfcc_image": np.arange(12.0).reshape(4, 3) / 16.0,
+        "melspec_image": np.arange(12.0).reshape(3, 4) / 8.0,
+        "encoder": np.arange(-6.0, 6.0).reshape(2, 6) * 0.25,
+    }
+
+
+# recorded from write_feature before feature kinds named their own VXF1 tags
+GOLDEN_VXF1_SHA256 = {
+    "mfcc_vector": "85dd2d8b23bb8fc2acc7e875e55353be79d0de247e14b70a8e7f40926f41f062",
+    "mfcc_image": "ca2793a2db62a8638190ec549ce8b3fa1f39f212bb1b9417b1add0cbaa8083ef",
+    "melspec_image": "5e4c4ad2c4122d2dde30808f8a7716f800c3516b85a15394ba1ebaad04762f7c",
+    "encoder": "6bcda6cd654ddade740947b9ba9f91692bd4c2eb68168105ce2397dae6433724",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_VXF1_SHA256))
+def test_vxf1_bytes_match_golden(kind, tmp_path):
+    path = tmp_path / f"{kind}.vxf"
+    write_feature(str(path), hand_built_features()[kind], kind)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_VXF1_SHA256[kind]
+    assert read_feature(str(path))[1] == kind
+
+
 def damaged_copies(data: bytes, tag_offset: int):
     """Every truncation of data, then data with its tag byte set to each value."""
     for cut in range(len(data)):
@@ -72,17 +101,17 @@ def damaged_copies(data: bytes, tag_offset: int):
 
 def test_vxf1_damage_decodes_or_raises_corrupt_file(tmp_path):
     good = tmp_path / "good.vxf"
-    write_feature(str(good), np.arange(6.0).reshape(2, 3), "melspec")
+    write_feature(str(good), np.arange(6.0).reshape(2, 3), "melspec_image")
     bad = tmp_path / "bad.vxf"
     decoded = set()
     for data in damaged_copies(good.read_bytes(), tag_offset=12):
         bad.write_bytes(data)
         try:
-            matrix, tag = read_feature(str(bad))
+            matrix, kind = read_feature(str(bad))
         except CorruptFileError:
             continue
         assert np.array_equal(matrix, np.arange(6.0).reshape(2, 3))
-        decoded.add(tag)
+        decoded.add(kind)
     assert decoded == set(FEATURE_TAGS)  # only the valid tag values decode
 
 
@@ -99,3 +128,36 @@ def test_vxm1_damage_decodes_or_raises_corrupt_file(kind, tmp_path):
         except CorruptFileError:
             continue
     assert decoded == [kind]  # each kind's payload fits only its own tag
+
+
+def test_vxw1_damage_decodes_or_raises_corrupt_file(tmp_path):
+    rng = np.random.default_rng(13)
+    weights = EncoderWeights(((rng.normal(size=(2, 1, 3)), np.zeros(2)),
+                              (rng.normal(size=(2, 2, 2)), np.ones(2))))
+    good = tmp_path / "good.vxw"
+    save_weights(weights, str(good))
+    data = good.read_bytes()
+    bad = tmp_path / "bad.vxw"
+    for damaged in [data[:cut] for cut in range(len(data))] + [data + b"\0", b"VXW2" + data[4:]]:
+        bad.write_bytes(damaged)
+        with pytest.raises(CorruptFileError):
+            load_weights(str(bad))
+    loaded = load_weights(str(good))
+    for (w0, b0), (w1, b1) in zip(weights.layers, loaded.layers):
+        assert np.allclose(w0, w1, atol=1e-6) and np.array_equal(b0, b1)
+
+
+def test_wav_damage_decodes_or_raises_typed_error():
+    data = save_wav(AudioClip(np.linspace(-0.5, 0.5, 12), 16000))
+    damaged = [data[:cut] for cut in range(len(data))]
+    damaged += [data[:offset] + bytes([value]) + data[offset + 1:]
+                for offset in range(44) for value in range(256)]
+    decoded = 0
+    for wav in damaged:
+        try:
+            clip = load_wav(wav)
+        except VoxscreenError:
+            continue
+        assert clip.sample_rate > 0 and np.all(np.abs(clip.samples) <= 1.0)
+        decoded += 1
+    assert decoded > 0

@@ -68,7 +68,7 @@ class TestPredictScore:
         inner = train_cnn(images, labels, epochs=2, seed=0,
                           config=CnnConfig(filters1=3, filters2=4))
         model = TrainedModel("cnn", inner, "melspec_image", None)
-        feats = [FeatureImage(im, "melspec") for im in images]
+        feats = [FeatureImage(im) for im in images]
         p1 = model.score_batch(feats)
         p0 = 1.0 - inner.scores(images)
         assert np.allclose(p1, 1.0 - p0, atol=1e-9)
@@ -77,7 +77,7 @@ class TestPredictScore:
         rows, labels = vector_data
         model = make_logreg(rows, labels)
         with pytest.raises(FeatureKindMismatchError):
-            predict_score(model, FeatureImage(np.zeros((150, 150, 3)), "mfcc"))
+            predict_score(model, FeatureImage(np.zeros((150, 150, 3))))
 
     def test_kind_mismatch_vector_to_image_model(self):
         rng = np.random.default_rng(2)
@@ -123,7 +123,7 @@ class TestModelSerialization:
         inner = train_cnn(images, labels, epochs=2, seed=1,
                           config=CnnConfig(filters1=3, filters2=4))
         model = TrainedModel("cnn", inner, "mfcc_image", None)
-        feats = [FeatureImage(im, "mfcc") for im in images]
+        feats = [FeatureImage(im) for im in images]
         self.assert_roundtrip(model, feats, tmp_path)
 
     def test_lstm(self, vector_data, tmp_path):
@@ -140,15 +140,15 @@ class TestFeatureFiles:
         rng = np.random.default_rng(4)
         matrix = rng.normal(size=(32, 40)).astype(np.float32).astype(np.float64)
         path = tmp_path / "feat.vxf"
-        write_feature(str(path), matrix, "mfcc")
+        write_feature(str(path), matrix, "mfcc_image")
         back, kind = read_feature(str(path))
-        assert kind == "mfcc"
+        assert kind == "mfcc_image"
         assert np.array_equal(back, matrix)
         assert path.read_bytes()[:4] == b"VXF1"
 
     def test_vector_stored_as_single_row(self, tmp_path):
         path = tmp_path / "vec.vxf"
-        write_feature(str(path), np.arange(40, dtype=np.float64), "vector")
+        write_feature(str(path), np.arange(40, dtype=np.float64), "mfcc_vector")
         back, kind = read_feature(str(path))
-        assert kind == "vector"
+        assert kind == "mfcc_vector"
         assert back.shape == (1, 40)

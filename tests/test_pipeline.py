@@ -41,11 +41,19 @@ class TestExtractFeature:
 
     def test_matrix_and_memory_forms_agree(self):
         clip = synth_clip(0, 4, 1.0)
-        matrix, tag = extract_matrix(clip, "melspec_image")
-        assert tag == "melspec"
+        matrix = extract_matrix(clip, "melspec_image")
+        assert matrix.shape == (150, 150)
         image = feature_from_matrix(matrix, "melspec_image")
         direct = extract_feature(clip, "melspec_image")
         assert np.max(np.abs(image.pixels - direct.pixels)) < 1e-12
+
+    def test_channels_identical(self):
+        plane = np.random.default_rng(1).uniform(0, 1, (150, 150))
+        image = feature_from_matrix(plane, "mfcc_image")
+        assert image.pixels.shape == (150, 150, 3)
+        for channel in range(3):
+            assert np.array_equal(image.pixels[:, :, channel], plane)
+        assert not image.pixels.flags.writeable  # a view of the plane, not a copy
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -138,7 +146,7 @@ class TestResolvedFitFunctions:
 
     def test_cnn_recipe_short_epochs(self):
         rng = np.random.default_rng(2)
-        images = [FeatureImage(rng.uniform(0, 1, (12, 12, 3)), "melspec")
+        images = [FeatureImage(rng.uniform(0, 1, (12, 12, 3)))
                   for _ in range(8)]
         labels = np.array([0, 1] * 4)
         fit = resolve_recipe({"model": "cnn", "feature": "melspec_image",
@@ -176,7 +184,7 @@ def test_rebound_trainers_run_once_per_fold(monkeypatch):
     labels = np.array([0, 1] * 4)
     for model, feature in sorted(ALLOWED_PAIRS):
         if model == "cnn":
-            feats = [FeatureImage(rng.uniform(0, 1, (10, 10, 3)), "melspec")
+            feats = [FeatureImage(rng.uniform(0, 1, (10, 10, 3)))
                      for _ in labels]
         else:
             feats = list(rng.normal(size=(len(labels), 5)) + labels[:, None])

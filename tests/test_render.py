@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from voxscreen.audio_io import synth_clip
-from voxscreen.dsp import mel_spectrogram, mfcc
+from voxscreen.dsp import mel_spectrogram
 from voxscreen.errors import DegenerateInputError, DimensionMismatchError
 from voxscreen.render import (
     IMAGE_SIZE,
@@ -19,13 +19,8 @@ from voxscreen.render import (
 class TestRenderImage:
     def test_constant_matrix_maps_to_half(self):
         img = render_image(np.full((7, 5), 3.3))
-        assert img.pixels.shape == (150, 150, 3)
-        assert np.allclose(img.pixels, 0.5)
-
-    def test_channels_identical(self):
-        img = render_image(np.random.default_rng(1).uniform(0, 1, (40, 64)))
-        assert np.array_equal(img.pixels[:, :, 0], img.pixels[:, :, 1])
-        assert np.array_equal(img.pixels[:, :, 0], img.pixels[:, :, 2])
+        assert img.shape == (150, 150)
+        assert np.allclose(img, 0.5)
 
     def test_resize_identity_on_150x150(self):
         """Full-size input passes through modulo the fixed orientation:
@@ -35,22 +30,18 @@ class TestRenderImage:
         m[0, 0], m[1, 1] = 0.0, 1.0  # span the full range
         img = render_image(m)
         for frame, band in [(0, 0), (10, 140), (77, 3), (149, 149)]:
-            assert abs(img.pixels[149 - band, frame, 0] - m[frame, band]) < 1e-6
+            assert abs(img[149 - band, frame] - m[frame, band]) < 1e-6
 
     def test_affine_input_invariance(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(30, 64))
         a = render_image(m)
         b = render_image(4.2 * m + 11.0)
-        assert np.max(np.abs(a.pixels - b.pixels)) < 1e-9
+        assert np.max(np.abs(a - b)) < 1e-9
 
     def test_values_in_unit_interval(self):
         img = render_image(mel_spectrogram(synth_clip(0, 5, 1.0)))
-        assert img.source_kind == "melspec"
-        assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
-
-    def test_mfcc_source_kind(self):
-        assert render_image(mfcc(synth_clip(0, 5, 1.0))).source_kind == "mfcc"
+        assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -58,7 +49,7 @@ class TestRenderImage:
 
     def test_single_cell_matrix(self):
         img = render_image(np.array([[2.0]]))
-        assert np.allclose(img.pixels, 0.5)
+        assert np.allclose(img, 0.5)
 
 
 class TestPngExport:
@@ -78,7 +69,7 @@ class TestPngExport:
         length = int.from_bytes(png[idat_start - 8: idat_start - 4], "big")
         raw = zlib.decompress(png[idat_start: idat_start + length])
         values = np.frombuffer(raw, np.uint8).reshape(150, 451)[:, 1:]
-        expected = np.round(img.pixels * 255).astype(np.uint8).reshape(150, 450)
+        expected = np.repeat(np.round(img * 255).astype(np.uint8), 3, axis=1)
         assert np.array_equal(values, expected)
 
 
