@@ -36,7 +36,6 @@ class AudioClip:
 
     samples: np.ndarray
     sample_rate: int
-    source_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
@@ -53,7 +52,7 @@ def _require(cond: bool, exc: type[Exception], msg: str) -> None:
         raise exc(msg)
 
 
-def load_wav(data: bytes, source_id: str = "") -> AudioClip:
+def load_wav(data: bytes) -> AudioClip:
     """Decode a RIFF/WAVE byte string into a normalized mono clip.
 
     Accepts PCM 16-bit (format 1) and IEEE float 32-bit (format 3), 1 or
@@ -80,7 +79,7 @@ def load_wav(data: bytes, source_id: str = "") -> AudioClip:
         elif chunk_id == b"data":
             _require(fmt is not None, MalformedHeaderError, "data chunk before fmt chunk")
             body_end = min(body_end, len(data))
-            return _decode_data(data[body_start:body_end], fmt, source_id)
+            return _decode_data(data[body_start:body_end], fmt)
         # skip unknown chunk; RIFF pads odd sizes to even
         pos = body_end + (chunk_size & 1)
     if fmt is None:
@@ -88,7 +87,7 @@ def load_wav(data: bytes, source_id: str = "") -> AudioClip:
     raise MalformedHeaderError("no data chunk found")
 
 
-def _decode_data(raw: bytes, fmt: tuple[int, int, int, int], source_id: str) -> AudioClip:
+def _decode_data(raw: bytes, fmt: tuple[int, int, int, int]) -> AudioClip:
     code, channels, rate, bits = fmt
     _require(code in (1, 3), UnsupportedEncodingError, f"unsupported format code {code}")
     _require(channels in (1, 2), UnsupportedEncodingError, f"unsupported channel count {channels}")
@@ -113,7 +112,7 @@ def _decode_data(raw: bytes, fmt: tuple[int, int, int, int], source_id: str) -> 
         x = x.reshape(-1, 2).mean(axis=1)
     # float WAVs may legally exceed full scale; clamp to the clip invariant
     x = np.clip(x, -1.0, 1.0)
-    return AudioClip(samples=x, sample_rate=int(rate), source_id=source_id)
+    return AudioClip(samples=x, sample_rate=int(rate))
 
 
 def save_wav(clip: AudioClip) -> bytes:
@@ -140,7 +139,7 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     if target_rate == clip.sample_rate:
-        return AudioClip(clip.samples.copy(), clip.sample_rate, clip.source_id)
+        return AudioClip(clip.samples.copy(), clip.sample_rate)
     n_in = len(clip.samples)
     if n_in < 2:
         raise DegenerateInputError("need at least 2 samples to resample")
@@ -148,15 +147,15 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     positions = np.arange(n_out) * (clip.sample_rate / target_rate)
     # np.interp holds the edge values for positions beyond the last sample
     out = np.interp(positions, np.arange(n_in), clip.samples)
-    return AudioClip(out, target_rate, clip.source_id)
+    return AudioClip(out, target_rate)
 
 
 def peak_normalize(clip: AudioClip) -> AudioClip:
     """Scale so max |sample| = 1; all-zero input is returned unchanged."""
     peak = np.max(np.abs(clip.samples)) if len(clip.samples) else 0.0
     if peak == 0.0:
-        return AudioClip(clip.samples.copy(), clip.sample_rate, clip.source_id)
-    return AudioClip(clip.samples / peak, clip.sample_rate, clip.source_id)
+        return AudioClip(clip.samples.copy(), clip.sample_rate)
+    return AudioClip(clip.samples / peak, clip.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -214,5 +213,4 @@ def synth_parts(class_label: int, seed: int, duration_s: float = 1.0) -> SynthPa
 def synth_clip(class_label: int, seed: int, duration_s: float = 1.0) -> AudioClip:
     """Deterministic synthetic clip; see synth_parts for the recipe."""
     parts = synth_parts(class_label, seed, duration_s)
-    return AudioClip(parts.mix, parts.sample_rate,
-                     source_id=f"synth:c{class_label}:s{seed}")
+    return AudioClip(parts.mix, parts.sample_rate)

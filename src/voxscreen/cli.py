@@ -16,7 +16,10 @@ import sys
 from pathlib import Path
 from urllib.parse import quote
 
-from .datasets import CohortFilter, apply_cohort, generate_synthetic_corpus, parse_manifest
+import numpy as np
+
+from .datasets import (DELAY_CUTOFF_DAYS, CohortFilter, apply_cohort,
+                       generate_synthetic_corpus, parse_manifest)
 from .dsp import FrameParams, MelParams
 from .errors import ConfigError, CorruptFileError, VoxscreenError
 from .evaluation import METRIC_NAMES, config_fingerprint, cross_validate
@@ -35,7 +38,7 @@ def _cohort_from_flag(flag: str) -> CohortFilter:
     kind, _, arg = flag.partition(":")
     if kind == "positives_within_days":
         try:
-            return CohortFilter(kind, days=int(arg or 14))
+            return CohortFilter(kind, days=int(arg or DELAY_CUTOFF_DAYS))
         except ValueError:
             raise ConfigError(f"cohort {flag!r} needs a whole number of days > 0") from None
     if flag == "covid_vs_cold_symptomatic":
@@ -131,9 +134,10 @@ def cmd_extract(args) -> int:
     return 1 if failures else 0
 
 
-def _collect_features(args, examples):
-    """Features for cv/gamma-sweep: the files index.csv lists for the run's
-    clips and params; clips it does not list are extracted in memory."""
+def _collect_features(args, examples) -> np.ndarray:
+    """Features for cv/gamma-sweep, one row per example: [n, d] vectors or
+    [n, 150, 150] gray planes. Read from the files index.csv lists for the
+    run's clips and params; clips it does not list are extracted in memory."""
     frame, mel, params_key = _feature_params(args)
     manifest_dir = Path(args.manifest).parent
     feature_dir = Path(args.features) if args.features else None
@@ -158,7 +162,7 @@ def _collect_features(args, examples):
             clip = load_clip(manifest_dir / ex.clip_path)
             matrix = extract_matrix(clip, args.feature, frame=frame, mel=mel)
         features.append(feature_from_matrix(matrix, args.feature))
-    return features
+    return np.array(features)  # stacked once; an empty run stays a typed fold error
 
 
 _HYPER_FLAGS = ("epochs", "batch", "max_passes", "lr", "gamma", "C", "tol", "dropout")

@@ -45,12 +45,10 @@ class FrameParams:
 
 @dataclass(frozen=True)
 class MelParams:
-    """Mel filterbank and cepstrum sizing. f_max None means Nyquist."""
+    """Mel filterbank and cepstrum sizing; the filterbank spans 0 Hz to Nyquist."""
 
     n_mels: int = 64
     n_mfcc: int = 40
-    f_min: float = 0.0
-    f_max: float | None = None
     log_floor: float = LOG_FLOOR_DEFAULT
 
     def __post_init__(self):
@@ -58,12 +56,6 @@ class MelParams:
             raise ValueError("need 0 < n_mfcc <= n_mels")
         if self.log_floor <= 0:
             raise ValueError("log_floor must be positive")
-
-    def resolve_f_max(self, sample_rate: int) -> float:
-        f_max = sample_rate / 2.0 if self.f_max is None else self.f_max
-        if not (self.f_min < f_max <= sample_rate / 2.0):
-            raise ValueError("need f_min < f_max <= Nyquist")
-        return f_max
 
 
 def frame_count(n_samples: int, p: FrameParams) -> int:
@@ -128,9 +120,8 @@ def mel_filterbank(sample_rate: int, p: FrameParams = FrameParams(),
     (center[i-1], center[i+1]), so only neighbouring filters overlap.
     Each row is rescaled so its sampled maximum is exactly 1.
     """
-    f_max = m.resolve_f_max(sample_rate)
     bin_hz = np.arange(p.n_bins) * sample_rate / p.frame_length
-    grid = mel_to_hz(np.linspace(hz_to_mel(m.f_min), hz_to_mel(f_max), m.n_mels + 2))
+    grid = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), m.n_mels + 2))
     left, center, right = grid[:-2, None], grid[1:-1, None], grid[2:, None]
     rising = (bin_hz - left) / (center - left)
     falling = (right - bin_hz) / (right - center)

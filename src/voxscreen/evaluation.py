@@ -218,16 +218,17 @@ def config_fingerprint(payload: dict) -> str:
 
 
 def cross_validate(features, labels, recipe: dict, k: int = DEFAULT_FOLDS,
-                   seed: int = 0, fit_fn=None,
-                   threshold: float = DEFAULT_THRESHOLD) -> EvaluationReport:
+                   seed: int = 0, fit_fn=None) -> EvaluationReport:
     """Stratified k-fold protocol over pre-extracted features.
 
-    For each fold a fresh model (and scaler, where the recipe uses one)
-    is fitted on the train split only and scores the held-out split;
-    fitting never sees a test row. fit_fn(features, labels, seed) must
-    return an object with score_batch(features) -> scores in [0, 1];
-    when omitted the recipe is resolved through the pipeline registry.
+    features is one array with an example per row: [n, d] vectors or
+    [n, h, w] gray planes. For each fold a fresh model (and scaler, where
+    the recipe uses one) is fitted on the train rows only and scores the
+    held-out rows; fitting never sees a test row. fit_fn(features, labels,
+    seed) must return an object with score_batch(features) -> scores in
+    [0, 1]; when omitted the recipe is resolved through the pipeline registry.
     """
+    features = np.asarray(features)
     labels = np.asarray(labels)
     if len(features) != len(labels):
         raise LengthMismatchError(f"{len(features)} features vs {len(labels)} labels")
@@ -241,11 +242,10 @@ def cross_validate(features, labels, recipe: dict, k: int = DEFAULT_FOLDS,
     for fold in range(k):
         train_ids = plan.train_indices(fold)
         test_ids = plan.test_indices(fold)
-        model = fit_fn([features[i] for i in train_ids], labels[train_ids],
-                       seed + fold)
-        scores = np.asarray(model.score_batch([features[i] for i in test_ids]))
+        model = fit_fn(features[train_ids], labels[train_ids], seed + fold)
+        scores = np.asarray(model.score_batch(features[test_ids]))
         pooled_scores[test_ids] = scores
-        conf = confusion_at_threshold(scores, labels[test_ids], threshold)
+        conf = confusion_at_threshold(scores, labels[test_ids])
         confusions.append(conf)
         fold_metrics.append(metrics(conf))
         fold_aucs.append(roc_auc(scores, labels[test_ids]).auc)

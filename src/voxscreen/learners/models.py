@@ -11,8 +11,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import CorruptFileError, FeatureKindMismatchError
-from ..features_io import IMAGE_KINDS
-from ..render import FeatureImage, Standardizer
+from ..render import Standardizer
 from .cnn import CnnConfig, CnnModel, train_cnn
 from .layers import sigmoid
 from .logreg import LogRegModel, train_logreg
@@ -28,21 +27,27 @@ class ModelSpec:
     rebinding a train_* name in this module reaches every fold.
     """
 
-    tag: int                  # VXM1 kind byte
-    images: bool              # reads [n, h, w, c] images, else standardized [n, d] rows
-    hyper: dict[str, type]    # recipe hyper keys it reads, with their casts
-    fit: Callable             # (x, labels, seed, hyper) -> fitted model
-    score: Callable           # (fitted, x) -> scores in [0, 1]
-    dump: Callable            # fitted -> (VXM1 hyper block, named tensors)
-    load: Callable            # (hyper block, tensors) -> fitted
+    tag: int                    # VXM1 kind byte
+    images: bool                # reads [n, h, w] gray planes, else standardized [n, d] rows
+    hyper: dict[str, Callable]  # recipe hyper keys it reads -> cast that range-checks
+    fit: Callable               # (x, labels, seed, hyper) -> fitted model
+    score: Callable             # (fitted, x) -> scores in [0, 1]
+    dump: Callable              # fitted -> (VXM1 hyper block, named tensors)
+    load: Callable              # (hyper block, tensors) -> fitted
 
 
-_TRAINING = {"epochs": int, "batch": int}
+def _ranged(cast, ok, rule: str) -> Callable:
+    """A hyper cast that raises ValueError(rule) when ok(value) fails."""
+    def check(value):
+        if not ok(value := cast(value)):
+            raise ValueError(rule)
+        return value
+    return check
 
 
-def _config_hyper(config_cls, *fixed: str) -> dict[str, type]:
-    """Recipe keys of a config dataclass, cast to the type of its default."""
-    return {f.name: type(f.default) for f in fields(config_cls) if f.name not in fixed}
+COUNT = _ranged(int, lambda v: v >= 1, "must be at least 1")
+POSITIVE = _ranged(float, lambda v: v > 0, "must be greater than 0")
+FRACTION = _ranged(float, lambda v: 0 <= v < 1, "must be in [0, 1)")
 
 
 def _with_config(config_cls, hyper: dict) -> dict:
@@ -56,16 +61,22 @@ def _load_config(config_cls, hyper: dict):
     return config_cls(**{f.name: hyper[f.name] for f in fields(config_cls)})
 
 
+def _channels(planes: np.ndarray) -> np.ndarray:
+    """[n, h, w] gray planes as the CNN's [n, h, w, 3] input: a read-only view,
+    so the three identical channels cost no memory until train_cnn casts them."""
+    return np.broadcast_to(planes[..., None], (*planes.shape, 3))
+
+
 MODELS = {
     "logreg": ModelSpec(
-        tag=0, images=False, hyper={"epochs": int, "lr": float},
+        tag=0, images=False, hyper={"epochs": COUNT, "lr": POSITIVE},
         fit=lambda x, y, seed, h: train_logreg(x, y, **h),
         score=lambda m, x: m.scores(x),
         dump=lambda m: ({}, {"weights": m.weights, "bias": np.array([m.bias])}),
         load=lambda h, t: LogRegModel(weights=t["weights"], bias=float(t["bias"][0]))),
     "svm": ModelSpec(
         tag=1, images=False,
-        hyper={"C": float, "gamma": float, "tol": float, "max_passes": int},
+        hyper={"C": POSITIVE, "gamma": POSITIVE, "tol": POSITIVE, "max_passes": COUNT},
         fit=lambda x, y, seed, h: train_svm_smo(x, y, **h),
         score=lambda m, x: sigmoid(m.decision_values(x)),
         dump=lambda m: ({"gamma": m.gamma, "C": m.C, "converged": m.converged},
@@ -77,15 +88,20 @@ MODELS = {
             converged=h["converged"])),
     "cnn": ModelSpec(
         tag=2, images=True,
-        hyper={**_config_hyper(CnnConfig, "kernel", "n_classes"), **_TRAINING},
-        fit=lambda x, y, seed, h: train_cnn(x, y, seed=seed, **_with_config(CnnConfig, h)),
-        score=lambda m, x: m.scores(x),
+        hyper={"filters1": COUNT, "filters2": COUNT, "dropout": FRACTION, "lr": POSITIVE,
+               "epochs": COUNT, "batch": COUNT},
+        fit=lambda x, y, seed, h: train_cnn(_channels(x), y, seed=seed,
+                                            **_with_config(CnnConfig, h)),
+        score=lambda m, x: m.scores(_channels(x)),
         dump=lambda m: ({**asdict(m.config), "input_shape": list(m.input_shape)},
                         dict(m.params)),
         load=lambda h, t: CnnModel(params=t, config=_load_config(CnnConfig, h),
                                    input_shape=tuple(h["input_shape"]))),
     "lstm": ModelSpec(
-        tag=3, images=False, hyper={**_config_hyper(LstmConfig), **_TRAINING},
+        tag=3, images=False,
+        hyper={"hidden": COUNT, "dense": COUNT, "dropout": FRACTION, "lr": POSITIVE,
+               "loss": _ranged(str, lambda v: v in ("mae", "bce"), "must be mae or bce"),
+               "epochs": COUNT, "batch": COUNT},
         fit=lambda x, y, seed, h: train_lstm(x[:, :, None], y, seed=seed,
                                              **_with_config(LstmConfig, h)),
         score=lambda m, x: m.scores(x[:, :, None]),
@@ -97,19 +113,14 @@ MODEL_KINDS = tuple(MODELS)
 _TAG_KINDS = {spec.tag: kind for kind, spec in MODELS.items()}
 
 
-def model_input(features, feature_kind: str, images: bool) -> np.ndarray:
-    """Stack feature objects into what a model reads: [n, h, w, c] images or
-    [n, d] float64 rows."""
-    want = "image" if images else "vector"
-    if (feature_kind in IMAGE_KINDS) != images:
+def model_input(features, images: bool) -> np.ndarray:
+    """The feature array as float64, checked to be what the model reads:
+    [n, h, w] gray planes for an image model, [n, d] rows otherwise."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != (3 if images else 2):
         raise FeatureKindMismatchError(
-            f"{want} model cannot use {feature_kind!r} features")
-    stacked = []
-    for f in features:
-        if isinstance(f, FeatureImage) != images:
-            raise FeatureKindMismatchError(f"{want}-recipe model received the wrong feature type")
-        stacked.append(f.pixels if images else np.asarray(f, dtype=np.float64).ravel())
-    return np.stack(stacked)
+            f"{'image' if images else 'vector'} model cannot read a {x.ndim}-D feature array")
+    return x
 
 
 @dataclass
@@ -129,24 +140,24 @@ class TrainedModel:
 
     def inputs(self, features) -> np.ndarray:
         """The (standardized) array the fitted model reads."""
-        x = model_input(features, self.feature_kind, self.spec.images)
+        x = model_input(features, self.spec.images)
         return x if self.standardizer is None else self.standardizer.apply(x)
 
     def score_batch(self, features) -> np.ndarray:
-        """Scores in [0, 1] for a batch of feature objects."""
+        """Scores in [0, 1] for a stacked feature array."""
         return self.spec.score(self.model, self.inputs(features))
 
 
 def predict_score(model: TrainedModel, feature) -> float:
     """Score one example; sigmoid/softmax output in [0, 1]."""
-    return float(model.score_batch([feature])[0])
+    return float(model.score_batch(np.asarray(feature)[None])[0])
 
 
 def svm_raw_score(model: TrainedModel, feature) -> float:
     """Unsquashed SVM decision value (sign = predicted side)."""
     if model.kind != "svm":
         raise FeatureKindMismatchError("raw decision values exist only for svm")
-    return float(model.model.decision_values(model.inputs([feature]))[0])
+    return float(model.model.decision_values(model.inputs(np.asarray(feature)[None]))[0])
 
 
 # --- VXM1 container ---

@@ -20,7 +20,7 @@ from .encoder import EncoderConfig, encoder_apply
 from .errors import ConfigError, FeatureKindMismatchError
 from .features_io import FEATURE_KINDS, IMAGE_KINDS
 from .learners.models import MODEL_KINDS, MODELS, TrainedModel, model_input
-from .render import FeatureImage, fit_standardizer, render_image
+from .render import fit_standardizer, render_image
 
 ALLOWED_PAIRS = {
     ("logreg", "mfcc_vector"),
@@ -32,11 +32,9 @@ ALLOWED_PAIRS = {
 }
 
 
-def load_clip(path, peak: bool = True) -> AudioClip:
+def load_clip(path) -> AudioClip:
     """Read a WAV from disk, resample to 16 kHz, peak-normalize."""
-    clip = load_wav(Path(path).read_bytes(), source_id=str(path))
-    clip = resample_linear(clip, CANONICAL_RATE)
-    return peak_normalize(clip) if peak else clip
+    return peak_normalize(resample_linear(load_wav(Path(path).read_bytes()), CANONICAL_RATE))
 
 
 def extract_matrix(clip: AudioClip, feature_kind: str,
@@ -56,13 +54,13 @@ def extract_matrix(clip: AudioClip, feature_kind: str,
     raise ConfigError(f"unknown feature kind {feature_kind!r}")
 
 
-def feature_from_matrix(matrix: np.ndarray, feature_kind: str):
-    """In-memory feature object the learners consume."""
+def feature_from_matrix(matrix: np.ndarray, feature_kind: str) -> np.ndarray:
+    """One example's in-memory feature: a [d] row, or an image kind's [150, 150]
+    gray plane. Stacked, these are the array cross_validate and the models read."""
     if feature_kind == "mfcc_vector":
         return matrix.ravel()
     if feature_kind in IMAGE_KINDS:
-        # a read-only view of the plane in all three channels; model_input copies it
-        return FeatureImage(np.broadcast_to(matrix[:, :, None], (*matrix.shape, 3)))
+        return matrix
     if feature_kind == "encoder":
         return matrix.mean(axis=0)  # mean-pool the frame sequence
     raise ConfigError(f"unknown feature kind {feature_kind!r}")
@@ -88,11 +86,15 @@ def validate_recipe(recipe: dict) -> dict:
         raise FeatureKindMismatchError(
             f"{'image' if images else 'vector'} model cannot use {feature!r} features")
     accepted = MODELS[model].hyper
-    for key in recipe.get("hyper", {}):
+    for key, value in recipe.get("hyper", {}).items():
         if key not in accepted:
             raise ConfigError(
                 f"{model} does not read hyperparameter {key!r}; "
                 f"it accepts {', '.join(sorted(accepted))}")
+        try:
+            accepted[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{model} hyperparameter {key}={value!r}: {exc}") from None
     return recipe
 
 
@@ -107,7 +109,7 @@ def resolve_recipe(recipe: dict):
     hyper = {k: spec.hyper[k](v) for k, v in recipe.get("hyper", {}).items()}
 
     def fit(features, labels, seed):
-        x = model_input(features, feature, spec.images)
+        x = model_input(features, spec.images)
         scaler = None if spec.images else fit_standardizer(x)
         inner = spec.fit(x if scaler is None else scaler.apply(x), labels, seed, hyper)
         return TrainedModel(kind, inner, feature, scaler)

@@ -1,4 +1,4 @@
-"""Feature-to-input conversion: fixed-size image tensors and the
+"""Feature-to-input conversion: fixed-size gray planes, their PNG export and the
 train-fold-only standardizer for vector features."""
 
 from __future__ import annotations
@@ -12,17 +12,6 @@ import numpy as np
 from .errors import DegenerateInputError, DimensionMismatchError
 
 IMAGE_SIZE = 150
-
-
-@dataclass(frozen=True)
-class FeatureImage:
-    """[150, 150, 3] CNN input in [0, 1]: one gray plane in all three channels.
-
-    Rows run top to bottom; coefficient/band index ascends upward, frames
-    run left to right.
-    """
-
-    pixels: np.ndarray
 
 
 def _resize_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -47,7 +36,8 @@ def _resize_bilinear(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def render_image(m) -> np.ndarray:
-    """Min-max scale a [n_frames, n_bands] matrix into a [150, 150] gray plane.
+    """Min-max scale a [n_frames, n_bands] matrix into a [150, 150] gray plane
+    in [0, 1]: coefficient/band index ascends upward, frames run left to right.
 
     A constant matrix maps to all 0.5. Any affine rescaling a*M + b (a > 0)
     of the input renders to the same pixels.

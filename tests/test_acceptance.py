@@ -54,7 +54,7 @@ from voxscreen.learners.lstm import (
     lstm_loss_grad,
 )
 from voxscreen.pipeline import extract_feature, load_clip
-from voxscreen.render import FeatureImage, fit_standardizer
+from voxscreen.render import fit_standardizer
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_mfcc_seed7.json"
 GRAD_TOL = 1e-4

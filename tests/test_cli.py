@@ -112,8 +112,7 @@ class TestExtract:
         assert kind == "melspec_image"
         assert matrix.shape == (150, 150)
         from voxscreen.pipeline import feature_from_matrix
-        image = feature_from_matrix(matrix, "melspec_image")
-        assert image.pixels.shape == (150, 150, 3)
+        assert feature_from_matrix(matrix, "melspec_image") is matrix  # the plane is the feature
 
     def test_unreadable_path_isolated(self, corpus, tmp_path, capsys):
         bad_manifest = tmp_path / "bad.csv"
@@ -381,6 +380,13 @@ class TestReport:
     ["cv", "--n-mfcc", "100"],
     ["cv", "--n-mels", "0", "--n-mfcc", "0"],
     ["gamma-sweep", "--gammas", "0.1,abc"],
+    ["cv", "--model", "cnn", "--feature", "melspec_image", "--batch", "0"],
+    ["cv", "--model", "svm", "--gamma", "-1"],
+    ["cv", "--epochs", "0"],
+    ["cv", "--lr", "-1"],
+    ["cv", "--model", "svm", "--C", "0"],
+    ["cv", "--model", "lstm", "--dropout", "1.5"],
+    ["gamma-sweep", "--gammas=-0.1,0.1"],
 ])
 def test_bad_value_is_an_error_line_not_a_traceback(argv, corpus, tmp_path, capsys):
     command, *flags = argv

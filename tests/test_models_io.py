@@ -18,7 +18,7 @@ from voxscreen.learners import (
 )
 from voxscreen.learners.cnn import CnnConfig
 from voxscreen.learners.lstm import LstmConfig
-from voxscreen.render import FeatureImage, fit_standardizer
+from voxscreen.render import fit_standardizer
 
 
 @pytest.fixture(scope="module")
@@ -63,21 +63,21 @@ class TestPredictScore:
 
     def test_cnn_complementary_scores(self):
         rng = np.random.default_rng(1)
-        images = rng.uniform(0, 1, size=(10, 12, 12, 3))
+        planes = rng.uniform(0, 1, size=(10, 12, 12))
+        rgb = np.repeat(planes[..., None], 3, axis=3)
         labels = np.array([0, 1] * 5)
-        inner = train_cnn(images, labels, epochs=2, seed=0,
+        inner = train_cnn(rgb, labels, epochs=2, seed=0,
                           config=CnnConfig(filters1=3, filters2=4))
         model = TrainedModel("cnn", inner, "melspec_image", None)
-        feats = [FeatureImage(im) for im in images]
-        p1 = model.score_batch(feats)
-        p0 = 1.0 - inner.scores(images)
+        p1 = model.score_batch(planes)
+        p0 = 1.0 - inner.scores(rgb)
         assert np.allclose(p1, 1.0 - p0, atol=1e-9)
 
     def test_kind_mismatch_image_to_vector_model(self, vector_data):
         rows, labels = vector_data
         model = make_logreg(rows, labels)
         with pytest.raises(FeatureKindMismatchError):
-            predict_score(model, FeatureImage(np.zeros((150, 150, 3))))
+            predict_score(model, np.zeros((150, 150)))
 
     def test_kind_mismatch_vector_to_image_model(self):
         rng = np.random.default_rng(2)
@@ -107,24 +107,23 @@ class TestModelSerialization:
 
     def test_logreg(self, vector_data, tmp_path):
         rows, labels = vector_data
-        self.assert_roundtrip(make_logreg(rows, labels), list(rows), tmp_path)
+        self.assert_roundtrip(make_logreg(rows, labels), rows, tmp_path)
 
     def test_svm(self, vector_data, tmp_path):
         rows, labels = vector_data
         scaler = fit_standardizer(rows)
         inner = train_svm_smo(scaler.apply(rows), labels, gamma=0.05)
         model = TrainedModel("svm", inner, "mfcc_vector", scaler)
-        self.assert_roundtrip(model, list(rows), tmp_path)
+        self.assert_roundtrip(model, rows, tmp_path)
 
     def test_cnn(self, tmp_path):
         rng = np.random.default_rng(3)
-        images = rng.uniform(0, 1, size=(8, 12, 12, 3))
+        planes = rng.uniform(0, 1, size=(8, 12, 12))
         labels = np.array([0, 1] * 4)
-        inner = train_cnn(images, labels, epochs=2, seed=1,
-                          config=CnnConfig(filters1=3, filters2=4))
+        inner = train_cnn(np.repeat(planes[..., None], 3, axis=3), labels, epochs=2,
+                          seed=1, config=CnnConfig(filters1=3, filters2=4))
         model = TrainedModel("cnn", inner, "mfcc_image", None)
-        feats = [FeatureImage(im) for im in images]
-        self.assert_roundtrip(model, feats, tmp_path)
+        self.assert_roundtrip(model, planes, tmp_path)
 
     def test_lstm(self, vector_data, tmp_path):
         rows, labels = vector_data
@@ -132,7 +131,7 @@ class TestModelSerialization:
         inner = train_lstm(scaler.apply(rows)[:, :, None], labels, epochs=3,
                            seed=2, config=LstmConfig(hidden=4, dense=3))
         model = TrainedModel("lstm", inner, "mfcc_vector", scaler)
-        self.assert_roundtrip(model, list(rows), tmp_path)
+        self.assert_roundtrip(model, rows, tmp_path)
 
 
 class TestFeatureFiles:

@@ -1,5 +1,6 @@
-"""Recipe plumbing: feature kinds, pairings, the encoder path."""
+"""Recipe plumbing: feature kinds, pairings, the encoder path, report bytes."""
 
+import hashlib
 import sys
 from collections import Counter
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from voxscreen.audio_io import synth_clip
+from voxscreen.encoder import EncoderConfig
 from voxscreen.errors import ConfigError, FeatureKindMismatchError
 from voxscreen.evaluation import cross_validate
 from voxscreen.pipeline import (
@@ -17,7 +19,6 @@ from voxscreen.pipeline import (
     resolve_recipe,
     validate_recipe,
 )
-from voxscreen.render import FeatureImage
 
 
 class TestExtractFeature:
@@ -28,12 +29,9 @@ class TestExtractFeature:
     def test_image_kinds_render_150(self):
         clip = synth_clip(1, 2, 1.0)
         for kind in ("mfcc_image", "melspec_image"):
-            image = extract_feature(clip, kind)
-            assert isinstance(image, FeatureImage)
-            assert image.pixels.shape == (150, 150, 3)
+            assert extract_feature(clip, kind).shape == (150, 150)
 
     def test_encoder_mean_pooled(self):
-        from voxscreen.encoder import EncoderConfig
         clip = synth_clip(0, 3, 0.5)
         vec = extract_feature(clip, "encoder",
                               encoder_cfg=EncoderConfig(channels=8))
@@ -45,15 +43,23 @@ class TestExtractFeature:
         assert matrix.shape == (150, 150)
         image = feature_from_matrix(matrix, "melspec_image")
         direct = extract_feature(clip, "melspec_image")
-        assert np.max(np.abs(image.pixels - direct.pixels)) < 1e-12
+        assert np.max(np.abs(image - direct)) < 1e-12
 
-    def test_channels_identical(self):
-        plane = np.random.default_rng(1).uniform(0, 1, (150, 150))
-        image = feature_from_matrix(plane, "mfcc_image")
-        assert image.pixels.shape == (150, 150, 3)
+    def test_channels_identical(self, monkeypatch):
+        """The stored plane is the in-memory feature; the cnn entry hands
+        train_cnn each plane in all three channels as a read-only view."""
+        from voxscreen.learners import models
+        planes = np.random.default_rng(1).uniform(0, 1, (4, 150, 150))
+        plane = planes[0]
+        assert feature_from_matrix(plane, "mfcc_image") is plane
+        seen = []
+        monkeypatch.setattr(models, "train_cnn", lambda images, *a, **kw: seen.append(images))
+        resolve_recipe({"model": "cnn", "feature": "mfcc_image"})(planes, np.array([0, 1] * 2), 0)
+        [images] = seen
+        assert images.shape == (4, 150, 150, 3)
         for channel in range(3):
-            assert np.array_equal(image.pixels[:, :, channel], plane)
-        assert not image.pixels.flags.writeable  # a view of the plane, not a copy
+            assert np.array_equal(images[..., channel], planes)
+        assert not images.flags.writeable  # a view of the planes, not a copy
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -88,6 +94,22 @@ class TestRecipeValidation:
         with pytest.raises(FeatureKindMismatchError, match=f"cannot use '{feature}'"):
             validate_recipe({"model": model, "feature": feature, "force": True})
 
+    @pytest.mark.parametrize("model,key,value", [
+        ("cnn", "batch", 0), ("cnn", "filters1", -3), ("lstm", "epochs", 0),
+        ("logreg", "lr", -1.0), ("svm", "C", 0.0), ("svm", "gamma", -1.0),
+        ("svm", "tol", 0.0), ("svm", "max_passes", 0), ("cnn", "dropout", 1.5),
+        ("lstm", "dropout", 1.0), ("lstm", "dropout", -0.1), ("svm", "gamma", float("nan")),
+        ("logreg", "epochs", "many"), ("lstm", "loss", "huber"),
+    ])
+    def test_hyper_values_out_of_range(self, model, key, value):
+        feature = "melspec_image" if model == "cnn" else "mfcc_vector"
+        with pytest.raises(ConfigError, match=f"{model} hyperparameter {key}={value!r}"):
+            validate_recipe({"model": model, "feature": feature, "hyper": {key: value}})
+
+    def test_hyper_range_edges_pass(self):
+        validate_recipe({"model": "lstm", "feature": "mfcc_vector",
+                         "hyper": {"epochs": 1, "batch": 1, "dropout": 0.0, "lr": 1e-9}})
+
     def test_hyper_keys_the_model_does_not_read(self):
         validate_recipe({"model": "svm", "feature": "mfcc_vector",
                          "hyper": {"C": 7.0, "tol": 3.0}})
@@ -108,11 +130,10 @@ class TestRecipeValidation:
 class TestEncoderHeadPath:
     def test_logreg_on_encoder_features(self):
         """The encoder-head recipe: mean-pooled features, linear head."""
-        from voxscreen.encoder import EncoderConfig
         cfg = EncoderConfig(channels=8, weight_source="seeded:2")
         clips = [synth_clip(lab, 100 + i, 0.6) for i, lab in
                  enumerate([0] * 6 + [1] * 6)]
-        feats = [extract_feature(c, "encoder", encoder_cfg=cfg) for c in clips]
+        feats = np.stack([extract_feature(c, "encoder", encoder_cfg=cfg) for c in clips])
         labels = np.array([0] * 6 + [1] * 6)
         report = cross_validate(feats, labels,
                                 {"model": "logreg", "feature": "encoder"},
@@ -129,8 +150,8 @@ class TestResolvedFitFunctions:
         labels = np.array([0] * 8 + [1] * 8)
         for model in ("logreg", "svm"):
             fit = resolve_recipe({"model": model, "feature": "mfcc_vector"})
-            trained = fit(list(rows), labels, seed=0)
-            scores = trained.score_batch(list(rows))
+            trained = fit(rows, labels, seed=0)
+            scores = trained.score_batch(rows)
             assert scores.shape == (16,)
             assert np.all((scores >= 0) & (scores <= 1))
 
@@ -141,13 +162,12 @@ class TestResolvedFitFunctions:
         labels = np.array([0] * 6 + [1] * 6)
         fit = resolve_recipe({"model": "lstm", "feature": "mfcc_vector",
                               "hyper": {"epochs": 2, "hidden": 4, "dense": 3}})
-        trained = fit(list(rows), labels, seed=0)
-        assert trained.score_batch(list(rows)).shape == (12,)
+        trained = fit(rows, labels, seed=0)
+        assert trained.score_batch(rows).shape == (12,)
 
     def test_cnn_recipe_short_epochs(self):
         rng = np.random.default_rng(2)
-        images = [FeatureImage(rng.uniform(0, 1, (12, 12, 3)))
-                  for _ in range(8)]
+        images = rng.uniform(0, 1, (8, 12, 12))
         labels = np.array([0, 1] * 4)
         fit = resolve_recipe({"model": "cnn", "feature": "melspec_image",
                               "hyper": {"epochs": 1, "filters1": 3,
@@ -184,12 +204,57 @@ def test_rebound_trainers_run_once_per_fold(monkeypatch):
     labels = np.array([0, 1] * 4)
     for model, feature in sorted(ALLOWED_PAIRS):
         if model == "cnn":
-            feats = [FeatureImage(rng.uniform(0, 1, (10, 10, 3)))
-                     for _ in labels]
+            feats = rng.uniform(0, 1, (len(labels), 10, 10))
         else:
-            feats = list(rng.normal(size=(len(labels), 5)) + labels[:, None])
+            feats = rng.normal(size=(len(labels), 5)) + labels[:, None]
         calls.clear()
         cross_validate(feats, labels, {"model": model, "feature": feature,
                                        "hyper": TINY_HYPER.get(model, {})},
                        k=2, seed=0)
         assert calls == {TRAINERS[model]: 2}, (model, feature)
+
+
+# sha256 of report.json and report_roc.csv per supported pairing, recorded
+# before features became one array (numpy 2.4, OpenBLAS, x86-64); the
+# AUC floors elsewhere cannot see a score that drifts in its last bits
+GOLDEN_REPORTS = {
+    ("cnn", "melspec_image"): (
+        "02418d59254be041f1344a9ceacf97308ba278cdfe27c09c281d5bd8520e1d78",
+        "2ff4e73c1fa651a47568de8ccefdf73a2d7d7cf177b81f079f6e199cb880f734"),
+    ("cnn", "mfcc_image"): (
+        "bc10a11e301b3e59348aab1fb8dd283950233955f26c4000b767de85683ee87a",
+        "c728e00628a1128b812cf86409b0d75c22a4f3f6cbb914760601cc25b00d0d39"),
+    ("logreg", "encoder"): (
+        "d48fd6023f3c2947830feee7c8da30834ed2e793002292519788fc4faeb9e55f",
+        "384706e13212476acb5d45dab55897b8e2733718df9d178ae958892256c5351a"),
+    ("logreg", "mfcc_vector"): (
+        "f063097e2ac1034605e9539450d722c98a0e4eaece183f7d5b5b1a23d8d4548a",
+        "12589387d51bdbfbe50b78423ea0bbfe5380a9fe6bdeb5c63a523aad7882dc8c"),
+    ("lstm", "mfcc_vector"): (
+        "b83780323f478deebd693de8dae08c36b5773d6cd90781c723847a53b85fe335",
+        "05025d5789e6bee977b2e9ed5bd691e993a6ec7f153a9303212ff7e7d2d04b0c"),
+    ("svm", "mfcc_vector"): (
+        "06493b8040a1b79db457377f73bc4cfeef943e0272f1995363f10e88fd09aaed",
+        "182d50c7c7567fc879924391071c6bba4314851fa480ff1474346f6012703dd2"),
+}
+GOLDEN_HYPER = {"cnn": {"epochs": 1, "batch": 4, "filters1": 2, "filters2": 3},
+                "lstm": {"epochs": 2, "hidden": 4, "dense": 3}}
+
+
+@pytest.fixture(scope="module")
+def golden_clips():
+    labels = np.array([0, 1] * 6)
+    return [synth_clip(int(label), 300 + i, 0.5) for i, label in enumerate(labels)], labels
+
+
+@pytest.mark.parametrize("model,feature", sorted(ALLOWED_PAIRS))
+def test_report_bytes_match_golden(golden_clips, model, feature):
+    clips, labels = golden_clips
+    feats = np.stack([extract_feature(c, feature, encoder_cfg=EncoderConfig(channels=8))
+                      for c in clips])
+    report = cross_validate(feats, labels, {"model": model, "feature": feature,
+                                            "hyper": GOLDEN_HYPER.get(model, {})},
+                            k=3, seed=4)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (report.to_json(), report.roc_csv()))
+    assert digests == GOLDEN_REPORTS[model, feature]
