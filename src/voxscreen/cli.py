@@ -22,7 +22,8 @@ from .datasets import (DELAY_CUTOFF_DAYS, CohortFilter, apply_cohort,
                        generate_synthetic_corpus, parse_manifest)
 from .dsp import FrameParams, MelParams
 from .errors import ConfigError, CorruptFileError, VoxscreenError
-from .evaluation import METRIC_NAMES, config_fingerprint, cross_validate
+from .evaluation import (METRIC_NAMES, config_fingerprint, cross_validate,
+                         stratified_folds)
 from .features_io import FEATURE_KINDS, read_feature, write_feature
 from .learners.models import MODEL_KINDS
 from .pipeline import extract_matrix, feature_from_matrix, load_clip, validate_recipe
@@ -184,8 +185,9 @@ def _run_cv(args, runs: list[tuple[str, dict]], **fingerprinted) -> list:
     recipes = [(label, validate_recipe(
         {"model": args.model, "feature": args.feature, "hyper": hyper, "force": args.force}))
         for label, hyper in runs]
-    features = _collect_features(args, examples)
     labels = [ex.label for ex in examples]
+    stratified_folds(labels, k=args.k, seed=args.seed)  # fail before any extraction
+    features = _collect_features(args, examples)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []

@@ -7,6 +7,7 @@ DCT-II coefficients, per-coefficient mean pooling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,7 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(sample_rate: int, p: FrameParams = FrameParams(),
                    m: MelParams = MelParams()) -> np.ndarray:
     """Triangular height-1 filters, shape [n_mels, frame_length/2 + 1].
@@ -119,6 +121,8 @@ def mel_filterbank(sample_rate: int, p: FrameParams = FrameParams(),
     Centers are equally spaced on the mel axis; filter i is zero outside
     (center[i-1], center[i+1]), so only neighbouring filters overlap.
     Each row is rescaled so its sampled maximum is exactly 1.
+
+    Cached per arguments, so every clip of a run shares one read-only bank.
     """
     bin_hz = np.arange(p.n_bins) * sample_rate / p.frame_length
     grid = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), m.n_mels + 2))
@@ -131,7 +135,9 @@ def mel_filterbank(sample_rate: int, p: FrameParams = FrameParams(),
         raise InfeasibleBankError(
             f"{m.n_mels} filters over {p.n_bins} bins leaves empty filters; "
             "reduce n_mels or enlarge frame_length")
-    return bank / peaks[:, None]
+    bank = bank / peaks[:, None]
+    bank.flags.writeable = False
+    return bank
 
 
 def mel_spectrogram(clip: AudioClip, p: FrameParams = FrameParams(),
@@ -142,11 +148,14 @@ def mel_spectrogram(clip: AudioClip, p: FrameParams = FrameParams(),
     return np.log(np.maximum(power @ bank.T, m.log_floor))
 
 
+@functools.lru_cache(maxsize=8)
 def _dct2_ortho(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix [n, n]; cached and read-only, like the bank."""
     k = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     mat = np.sqrt(2.0 / n) * np.cos(np.pi * k * (j + 0.5) / n)
     mat[0] = np.sqrt(1.0 / n)
+    mat.flags.writeable = False
     return mat
 
 

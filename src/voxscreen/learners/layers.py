@@ -36,9 +36,24 @@ def relu_grad(x):
 
 
 def gelu(x):
-    """Tanh-form GELU: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
+    """Tanh-form GELU: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
+
+    The cube is built from products and every later step runs in place on
+    one new array: numpy sends `x ** 3` to a vector pow that is about 30
+    times slower than two multiplies. x * x * x may differ from pow in the
+    last bit.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + 0.044715 * x ** 3)))
+    out = np.multiply(x, x, out=np.empty_like(x))
+    out *= x
+    out *= 0.044715
+    out += x
+    out *= GELU_C
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 def gelu_grad(x):

@@ -144,3 +144,12 @@ def conv_stack_length(n: int, kernels, strides) -> int:
             return 0
         n = (n - k) // s + 1
     return n
+
+
+# --- activations ---
+
+def gelu(x):
+    """Tanh-form GELU as first written, with the cube through pow:
+    0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
+    x = np.asarray(x, dtype=np.float64)
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))

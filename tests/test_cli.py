@@ -282,6 +282,18 @@ class TestCv:
         assert code == 1 and calls == []
         assert "vector model cannot use 'melspec_image'" in capsys.readouterr().err
 
+    def test_too_few_per_class_for_k_extracts_nothing(self, tmp_path, monkeypatch,
+                                                      capsys):
+        small = tmp_path / "small"
+        assert main(["synth", "3", "3", "--seed", "2", "--duration", "0.6",
+                     "--out", str(small)]) == 0
+        calls = _counting(monkeypatch, "extract_matrix")
+        code = main(["cv", "--manifest", str(small / "manifest.csv"),
+                     "--feature", "encoder", "--model", "logreg",
+                     "--k", "10", "--out", str(tmp_path / "x")])
+        assert code == 1 and calls == []
+        assert "class 0 has 3 examples, fewer than k=10" in capsys.readouterr().err
+
     def test_inapplicable_hyper_flags_rejected(self, corpus, tmp_path, capsys):
         code = main(["cv", "--manifest", str(corpus / "manifest.csv"),
                      "--feature", "mfcc_vector", "--model", "logreg",

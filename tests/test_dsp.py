@@ -8,10 +8,12 @@ import pytest
 
 import oracles
 
+from voxscreen import dsp
 from voxscreen.audio_io import AudioClip, synth_clip
 from voxscreen.dsp import (
     FrameParams,
     MelParams,
+    _dct2_ortho,
     frame_count,
     hann_window,
     hz_to_mel,
@@ -186,6 +188,27 @@ class TestMelFilterbank:
                            MelParams(n_mels=128, n_mfcc=40))
 
 
+class TestCachedMatrices:
+    def test_cached_matrices_are_read_only(self):
+        for matrix in (mel_filterbank(16000), _dct2_ortho(64)):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 2.0
+
+    def test_same_arguments_share_one_array(self):
+        assert mel_filterbank(16000) is mel_filterbank(16000)
+        assert mel_filterbank(16000) is not mel_filterbank(22050)
+
+    def test_features_match_an_uncached_build(self, monkeypatch):
+        clips = [synth_clip(0, 3, 1.0), synth_clip(1, 4, 0.7)]
+        cached = [(mel_spectrogram(c).tobytes(), mfcc(c).tobytes()) for c in clips]
+        monkeypatch.setattr(dsp, "mel_filterbank", dsp.mel_filterbank.__wrapped__)
+        monkeypatch.setattr(dsp, "_dct2_ortho", dsp._dct2_ortho.__wrapped__)
+        assert dsp.mel_filterbank(16000) is not dsp.mel_filterbank(16000)
+        fresh = [(mel_spectrogram(c).tobytes(), mfcc(c).tobytes()) for c in clips]
+        assert cached == fresh
+
+
 class TestMelSpectrogram:
     def test_silence_hits_log_floor(self):
         spec = mel_spectrogram(AudioClip(np.zeros(4096), 16000))
@@ -214,7 +237,6 @@ class TestMfcc:
 
     def test_orthonormal_inverse(self):
         """Untruncated DCT then its transpose restores the log-mel row."""
-        from voxscreen.dsp import _dct2_ortho
         rng = np.random.default_rng(9)
         row = rng.normal(size=64)
         basis = _dct2_ortho(64)

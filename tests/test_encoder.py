@@ -18,6 +18,8 @@ from voxscreen.encoder import (
     seeded_weights,
 )
 from voxscreen.errors import DegenerateInputError, WeightShapeMismatchError
+from voxscreen.learners import layers
+from voxscreen.learners.layers import gelu
 
 SMALL = EncoderConfig(channels=8, weight_source="seeded:3")
 
@@ -79,6 +81,35 @@ class TestEncoderApply:
     def test_wrong_rate_rejected(self):
         with pytest.raises(ValueError):
             encoder_apply(AudioClip(np.zeros(800), 8000), SMALL)
+
+
+class TestGeluMatchesPowForm:
+    """gelu builds x^3 from products; the oracle keeps the original pow.
+    The two may differ in the last float64 bit of the cube."""
+
+    def test_elementwise_within_two_eps_of_x(self):
+        # relative to |x|, not in ulp of the result: for negative x,
+        # 1 + tanh cancels and a one-bit move in tanh is many ulp of gelu
+        rng = np.random.default_rng(11)
+        eps = np.finfo(np.float64).eps
+        for scale in (0.1, 1.0, 10.0, 100.0):
+            x = rng.normal(0.0, scale, 100_000)
+            err = np.abs(gelu(x) - oracles.gelu(x))
+            assert np.all(err <= 2.0 * eps * np.abs(x)), scale
+
+    def test_input_unchanged(self):
+        x = np.random.default_rng(12).normal(0.0, 3.0, (64, 33))
+        before = x.copy()
+        gelu(x)
+        assert np.array_equal(x, before)
+
+    def test_encoder_float32_bytes_match_pow_form(self, monkeypatch):
+        cfg = EncoderConfig()
+        clips = [synth_clip(i % 2, 40 + i, 2.0) for i in range(10)]
+        fast = [encoder_apply(c, cfg).astype("<f4").tobytes() for c in clips]
+        monkeypatch.setattr(layers, "gelu", oracles.gelu)
+        slow = [encoder_apply(c, cfg).astype("<f4").tobytes() for c in clips]
+        assert fast == slow
 
 
 class TestWeightFiles:
