@@ -166,7 +166,8 @@ def _collect_features(args, examples) -> np.ndarray:
     return np.array(features)  # stacked once; an empty run stays a typed fold error
 
 
-_HYPER_FLAGS = ("epochs", "batch", "max_passes", "lr", "gamma", "C", "tol", "dropout")
+_HYPER_FLAGS = {"epochs": int, "batch": int, "max_passes": int, "lr": float,
+                "gamma": float, "C": float, "tol": float, "dropout": float}
 
 
 def _hyper_from_args(args) -> dict:
@@ -270,6 +271,11 @@ def cmd_report(args) -> int:
 
 
 def _add_common_feature_flags(p):
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--cohort", default="all",
+                   help="all | positives_within_days[:N] | covid_vs_cold_symptomatic")
+    p.add_argument("--feature", required=True, choices=FEATURE_KINDS)
+    p.add_argument("--out", required=True)
     p.add_argument("--frame-length", type=int, default=2048, dest="frame_length")
     p.add_argument("--hop-length", type=int, default=512, dest="hop_length")
     p.add_argument("--n-mels", type=int, default=64, dest="n_mels")
@@ -277,24 +283,15 @@ def _add_common_feature_flags(p):
 
 
 def _add_cv_flags(p):
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--cohort", default="all",
-                   help="all | positives_within_days[:N] | covid_vs_cold_symptomatic")
-    p.add_argument("--feature", required=True, choices=FEATURE_KINDS)
     p.add_argument("--features", default=None,
                    help="directory of extracted .vxf files to reuse")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true",
                    help="allow (model, feature) pairs outside the supported set")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--C", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--max-passes", type=int, default=None, dest="max_passes")
+    for name, cast in _HYPER_FLAGS.items():
+        if name != "gamma":  # a cv flag; gamma-sweep takes --gammas
+            p.add_argument(f"--{name.replace('_', '-')}", type=cast, default=None, dest=name)
     _add_common_feature_flags(p)
 
 
@@ -305,10 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="decode clips and dump VXF1 features")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--cohort", default="all")
-    p.add_argument("--feature", required=True, choices=FEATURE_KINDS)
-    p.add_argument("--out", required=True)
     _add_common_feature_flags(p)
     p.set_defaults(fn=cmd_extract)
 

@@ -19,6 +19,7 @@ from .layers import (
     dense_forward,
     dropout_backward,
     dropout_forward,
+    glorot_uniform,
     maxpool2_backward,
     maxpool2_forward,
     softmax,
@@ -52,11 +53,6 @@ class CnnModel:
         logits, _ = cnn_forward(self.params, images, self.config,
                                 training=False, rng=None)
         return softmax(logits, axis=1)[:, 1]
-
-
-def glorot_uniform(rng, shape, fan_in, fan_out):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def init_cnn_params(input_shape, cfg: CnnConfig, rng) -> dict[str, np.ndarray]:

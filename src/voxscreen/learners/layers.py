@@ -70,6 +70,11 @@ def softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def glorot_uniform(rng, shape, fan_in, fan_out):
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
 # --- dense ---
 
 def dense_forward(x, w, b):
@@ -96,7 +101,8 @@ def conv2d_forward(x, w, b):
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     cols = windows.reshape(*windows.shape[:3], c_in * kh * kw)
     wmat = w.transpose(2, 0, 1, 3).reshape(c_in * kh * kw, c_out)
-    out = cols @ wmat + b
+    out = cols @ wmat
+    out += b  # in place: no second output-sized array at the peak
     return out, cols
 
 
@@ -120,33 +126,42 @@ def conv2d_backward(x_shape, w, cols, grad_out, need_grad_x=True):
 
 # --- 2x2 max pooling, stride 2 ---
 
+def _quadrants(x):
+    """Strided views of every 2x2 block's cells in row-major order; odd last row/col cropped."""
+    h, w = x.shape[1] // 2 * 2, x.shape[2] // 2 * 2
+    return tuple(x[:, i:h:2, j:w:2] for i in (0, 1) for j in (0, 1))
+
+
 def maxpool2_forward(x):
     """Crops odd trailing rows/cols, pools 2x2 blocks. Returns (out, cache).
 
-    The cache holds the winning quadrant (0..3, first max wins ties) per
-    output cell.
+    The cache holds the winning quadrant (int8, 0..3, first max wins ties)
+    per output cell: the number of leading quadrants that lost. np.maximum
+    may keep either sign on a +0/-0 tie, so zeros are re-read through it.
     """
-    n, h, w, c = x.shape
-    h2, w2 = h // 2, w // 2
-    quads = np.stack([x[:, : h2 * 2: 2, : w2 * 2: 2, :],
-                      x[:, : h2 * 2: 2, 1: w2 * 2: 2, :],
-                      x[:, 1: h2 * 2: 2, : w2 * 2: 2, :],
-                      x[:, 1: h2 * 2: 2, 1: w2 * 2: 2, :]])
-    idx = quads.argmax(axis=0)
-    out = np.take_along_axis(quads, idx[None], axis=0)[0]
+    a, b, c, d = _quadrants(x)
+    out = np.maximum(a, b)
+    np.maximum(out, c, out=out)
+    np.maximum(out, d, out=out)
+    lost = a != out
+    idx = lost.astype(np.int8)
+    for q in (b, c):
+        lost &= q != out
+        idx += lost.view(np.int8)
+    zero = out == 0
+    if zero.any():
+        out[zero] = np.choose(idx[zero], [q[zero] for q in (a, b, c, d)])
     return out, (x.shape, idx)
 
 
 def maxpool2_backward(cache, grad_out):
-    (n, h, w, c), idx = cache
-    h2, w2 = h // 2, w // 2
-    grad_x = np.zeros((n, h, w, c), dtype=grad_out.dtype)
-    views = (grad_x[:, : h2 * 2: 2, : w2 * 2: 2, :],
-             grad_x[:, : h2 * 2: 2, 1: w2 * 2: 2, :],
-             grad_x[:, 1: h2 * 2: 2, : w2 * 2: 2, :],
-             grad_x[:, 1: h2 * 2: 2, 1: w2 * 2: 2, :])
-    for q, view in enumerate(views):
-        view += np.where(idx == q, grad_out, 0.0)
+    """Routes each gradient to its block's winning cell; every other cell
+    is +0: adding 0.0 turns -0 into +0. Needs finite gradients, since
+    inf * False is NaN."""
+    shape, idx = cache
+    grad_x = np.zeros(shape, dtype=grad_out.dtype)
+    for q, view in enumerate(_quadrants(grad_x)):
+        np.add(grad_out * (idx == q), 0.0, out=view)
     return grad_x
 
 

@@ -21,6 +21,7 @@ from .layers import (
     dense_forward,
     dropout_backward,
     dropout_forward,
+    glorot_uniform,
     mae_loss,
     relu,
     relu_grad,
@@ -55,21 +56,16 @@ class LstmModel:
 def init_lstm_params(input_dim: int, cfg: LstmConfig, rng) -> dict[str, np.ndarray]:
     """Glorot for every weight block; forget-gate bias starts at 1."""
     h = cfg.hidden
-
-    def glorot(shape):
-        limit = np.sqrt(6.0 / sum(shape))
-        return rng.uniform(-limit, limit, size=shape)
-
     params = {}
     for d in ("f", "b"):
-        params[f"wx_{d}"] = glorot((input_dim, 4 * h))
-        params[f"wh_{d}"] = glorot((h, 4 * h))
+        params[f"wx_{d}"] = glorot_uniform(rng, (input_dim, 4 * h), input_dim, 4 * h)
+        params[f"wh_{d}"] = glorot_uniform(rng, (h, 4 * h), h, 4 * h)
         bias = np.zeros(4 * h)
         bias[h: 2 * h] = 1.0
         params[f"b_{d}"] = bias
-    params["w1"] = glorot((h, cfg.dense))
+    params["w1"] = glorot_uniform(rng, (h, cfg.dense), h, cfg.dense)
     params["b1"] = np.zeros(cfg.dense)
-    params["w2"] = glorot((cfg.dense, 1))
+    params["w2"] = glorot_uniform(rng, (cfg.dense, 1), cfg.dense, 1)
     params["b2"] = np.zeros(1)
     return params
 

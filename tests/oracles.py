@@ -153,3 +153,33 @@ def gelu(x):
     0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+
+
+# --- 2x2 max pooling ---
+
+def maxpool2_forward(x):
+    """Max-pool as first written: stack the four quadrants, argmax (first
+    max wins ties), gather. Returns (out, (x.shape, idx))."""
+    n, h, w, c = x.shape
+    h2, w2 = h // 2, w // 2
+    quads = np.stack([x[:, : h2 * 2: 2, : w2 * 2: 2, :],
+                      x[:, : h2 * 2: 2, 1: w2 * 2: 2, :],
+                      x[:, 1: h2 * 2: 2, : w2 * 2: 2, :],
+                      x[:, 1: h2 * 2: 2, 1: w2 * 2: 2, :]])
+    idx = quads.argmax(axis=0)
+    out = np.take_along_axis(quads, idx[None], axis=0)[0]
+    return out, (x.shape, idx)
+
+
+def maxpool2_backward(cache, grad_out):
+    """Zeros, then each quadrant adds np.where(idx == q, grad_out, 0)."""
+    (n, h, w, c), idx = cache
+    h2, w2 = h // 2, w // 2
+    grad_x = np.zeros((n, h, w, c), dtype=grad_out.dtype)
+    views = (grad_x[:, : h2 * 2: 2, : w2 * 2: 2, :],
+             grad_x[:, : h2 * 2: 2, 1: w2 * 2: 2, :],
+             grad_x[:, 1: h2 * 2: 2, : w2 * 2: 2, :],
+             grad_x[:, 1: h2 * 2: 2, 1: w2 * 2: 2, :])
+    for q, view in enumerate(views):
+        view += np.where(idx == q, grad_out, 0.0)
+    return grad_x

@@ -1,8 +1,16 @@
-"""Finite-difference verification of every differentiable block."""
+"""Finite-difference verification of every differentiable block, and
+max-pool's byte equality with its first-written form."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oracles
+import voxscreen
 from voxscreen.learners.gradcheck import max_relative_error, numeric_grad
 from voxscreen.learners.layers import (
     bce_from_logits,
@@ -123,6 +131,100 @@ class TestMaxPool:
         _, cache = maxpool2_forward(x)
         gx = maxpool2_backward(cache, grad_out)
         assert_grad(gx, loss, x)
+
+
+POOL_KINDS = ("normal", "integers", "signed_zeros", "neg_inf")
+POOL_SHAPES = ((2, 6, 8, 3), (2, 7, 9, 3), (3, 20, 22, 16), (2, 33, 31, 32),
+               (2, 1, 6, 3), (2, 6, 1, 3), (1, 1, 1, 1))
+
+
+def pool_case(kind, dtype, shape):
+    """An input and an upstream gradient for the max-pool equivalence checks.
+
+    integers, signed_zeros and neg_inf make ties the common case; the
+    gradient mixes +0, -0 and normal draws.
+    """
+    rng = np.random.default_rng(0)
+    if kind == "normal":
+        x = rng.normal(size=shape)
+    elif kind == "integers":
+        x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    elif kind == "signed_zeros":
+        x = rng.choice(np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0]), size=shape)
+    else:
+        x = rng.choice(np.array([-np.inf, -np.inf, -np.inf, 0.0, -0.0, 2.0]), size=shape)
+        x[:, :2, :2] = -np.inf  # every channel of the first block
+    out_shape = (shape[0], shape[1] // 2, shape[2] // 2, shape[3])
+    grad = rng.choice(np.array([0.0, -0.0, 1.0]), size=out_shape) * rng.normal(size=out_shape)
+    return x.astype(dtype), grad.astype(dtype)
+
+
+def assert_pool_matches_oracle(x, grad_out):
+    """Output, winning-quadrant index and input gradient equal the first
+    written forms byte for byte."""
+    out, cache = maxpool2_forward(x)
+    want, want_cache = oracles.maxpool2_forward(x)
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+    assert cache[0] == want_cache[0]
+    assert cache[1].shape == want_cache[1].shape
+    assert np.array_equal(cache[1], want_cache[1])
+    grad_x = maxpool2_backward(cache, grad_out)
+    want_grad = oracles.maxpool2_backward(want_cache, grad_out)
+    assert grad_x.dtype == want_grad.dtype and grad_x.shape == want_grad.shape
+    assert grad_x.tobytes() == want_grad.tobytes()
+
+
+def check_every_pool_case():
+    for dtype in (np.float32, np.float64):
+        for kind in POOL_KINDS:
+            for shape in POOL_SHAPES:
+                assert_pool_matches_oracle(*pool_case(kind, dtype, shape))
+
+
+class TestMaxPoolMatchesOldForm:
+    """maxpool2_forward/backward against the stack + argmax forward and the
+    zeros + np.where backward they replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", POOL_KINDS)
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    def test_bytes_equal(self, dtype, kind, shape):
+        assert_pool_matches_oracle(*pool_case(kind, dtype, shape))
+
+    def test_cases_hold_ties_and_signed_zeros(self):
+        x, grad = pool_case("signed_zeros", np.float64, (2, 6, 8, 3))
+        assert np.any(np.signbit(x) & (x == 0)) and np.any(~np.signbit(x) & (x == 0))
+        assert np.any(np.signbit(grad) & (grad == 0))
+        _, (_, idx) = oracles.maxpool2_forward(x)
+        assert set(np.unique(idx).tolist()) == {0, 1, 2, 3}
+
+    def test_nan_block_pools_to_nan(self):
+        x = RNG.normal(size=(2, 4, 6, 3))
+        x[0, 1, 0, 2] = np.nan
+        x[1, 2, 5, 0] = np.nan
+        out, _ = maxpool2_forward(x)
+        want, _ = oracles.maxpool2_forward(x)
+        assert np.isnan(out[0, 0, 0, 2]) and np.isnan(out[1, 1, 2, 0])
+        assert np.isnan(out).sum() == 2
+        assert np.array_equal(out, want, equal_nan=True)
+
+    def test_reduced_cpu_dispatch(self):
+        """numpy picks its SIMD loops at run time: rerun every case with the
+        AVX-512 loops disabled."""
+        tests_dir = pathlib.Path(__file__).parent
+        src_dir = pathlib.Path(voxscreen.__file__).parent.parent
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+                   PYTHONPATH=os.pathsep.join([str(tests_dir), str(src_dir)]))
+        probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                               capture_output=True, text=True)
+        if probe.returncode != 0:
+            pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES: "
+                        + probe.stderr.strip().splitlines()[-1])
+        run = subprocess.run(
+            [sys.executable, "-c", "import test_layers; test_layers.check_every_pool_case()"],
+            env=env, capture_output=True, text=True, cwd=tests_dir)
+        assert run.returncode == 0, run.stderr
 
 
 class TestDropout:
