@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -34,32 +35,26 @@ def _default_seed() -> int:
 
 
 def _cohort_from_flag(flag: str) -> CohortFilter:
-    if flag == "all":
-        return CohortFilter("all")
+    if flag in ("all", "covid_vs_cold_symptomatic"):
+        return CohortFilter(flag)
     kind, _, arg = flag.partition(":")
     if kind == "positives_within_days":
         try:
             return CohortFilter(kind, days=int(arg or DELAY_CUTOFF_DAYS))
         except ValueError:
             raise ConfigError(f"cohort {flag!r} needs a whole number of days > 0") from None
-    if flag == "covid_vs_cold_symptomatic":
-        return CohortFilter("covid_vs_cold_symptomatic")
     raise VoxscreenError(f"unknown cohort {flag!r}")
 
 
 def _load_examples(manifest_path: str, cohort: str):
-    text = Path(manifest_path).read_text()
-    examples = parse_manifest(text)
-    return apply_cohort(examples, _cohort_from_flag(cohort)), text
+    return apply_cohort(parse_manifest(Path(manifest_path).read_text()), _cohort_from_flag(cohort))
 
 
-def _write_fingerprint(out_dir: Path, payload: dict) -> str:
-    fp = config_fingerprint(payload)
+def _write_fingerprint(out_dir: Path, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "fingerprint.json").write_text(
-        json.dumps({"fingerprint": fp, "config": payload},
+        json.dumps({"fingerprint": config_fingerprint(payload), "config": payload},
                    indent=2, sort_keys=True, default=str))
-    return fp
 
 
 def _feature_params(args) -> tuple[FrameParams, MelParams, str]:
@@ -90,7 +85,7 @@ def _read_index(index_path: Path) -> dict[str, tuple[str, str, str]]:
 
 
 def cmd_extract(args) -> int:
-    examples, _ = _load_examples(args.manifest, args.cohort)
+    examples = _load_examples(args.manifest, args.cohort)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     frame, mel, params_key = _feature_params(args)
@@ -182,7 +177,7 @@ def _run_cv(args, runs: list[tuple[str, dict]], **fingerprinted) -> list:
     a fingerprint.json of every input the reports depend on."""
     if args.k < 2:
         raise ConfigError(f"--k {args.k}: cross-validation needs at least 2 folds")
-    examples, _ = _load_examples(args.manifest, args.cohort)
+    examples = _load_examples(args.manifest, args.cohort)
     recipes = [(label, validate_recipe(
         {"model": args.model, "feature": args.feature, "hyper": hyper, "force": args.force}))
         for label, hyper in runs]
@@ -330,7 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at 32 and 64 MiB, where its own tuning
+    ends. The tuning raises them as large blocks are freed, so which arrays reach the
+    heap hangs on history: the peak memory of repeated cv runs drifted up to 35 MB."""
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if hasattr(libc, "gnu_get_libc_version"):  # glibc only
+        libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int,) * 2, ctypes.c_int
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    pin_malloc_thresholds()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

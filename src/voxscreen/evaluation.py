@@ -179,14 +179,9 @@ class EvaluationReport:
             "recipe": self.recipe,
             "k": self.k,
             "seed": self.seed,
-            "folds": [
-                {
-                    "metrics": m,
-                    "auc": self.fold_aucs[i],
-                    "confusion": {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn},
-                }
-                for i, (m, c) in enumerate(zip(self.fold_metrics, self.confusions))
-            ],
+            "folds": [{"metrics": m, "auc": auc,
+                       "confusion": {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn}}
+                      for m, auc, c in zip(self.fold_metrics, self.fold_aucs, self.confusions)],
             "aggregate": {k: (list(v) if v else None)
                           for k, v in self.aggregate().items()},
             "cells": self.cells(),
@@ -206,10 +201,8 @@ class EvaluationReport:
         return "\n".join(lines)
 
     def roc_csv(self) -> str:
-        rows = ["threshold,fpr,tpr"]
-        for thr, (fpr, tpr) in zip(self.pooled_roc.thresholds, self.pooled_roc.points):
-            rows.append(f"{thr},{fpr},{tpr}")
-        return "\n".join(rows) + "\n"
+        rows = zip(self.pooled_roc.thresholds, self.pooled_roc.points)
+        return "".join(["threshold,fpr,tpr\n", *(f"{t},{fpr},{tpr}\n" for t, (fpr, tpr) in rows)])
 
 
 def config_fingerprint(payload: dict) -> str:

@@ -51,7 +51,7 @@ class CnnModel:
     def scores(self, images: np.ndarray) -> np.ndarray:
         """Softmax probability of class 1, dropout off."""
         logits, _ = cnn_forward(self.params, images, self.config,
-                                training=False, rng=None)
+                                training=False, rng=None, keep_cache=False)
         return softmax(logits, axis=1)[:, 1]
 
 
@@ -74,31 +74,31 @@ def init_cnn_params(input_shape, cfg: CnnConfig, rng) -> dict[str, np.ndarray]:
     return p
 
 
-def cnn_forward(params, x, cfg: CnnConfig, training: bool, rng):
-    c1, cols1 = conv2d_forward(x, params["w1"], params["b1"])
-    p1, pc1 = maxpool2_forward(c1)
-    d1, m1 = dropout_forward(p1, cfg.dropout, rng, training)
-    c2, cols2 = conv2d_forward(d1, params["w2"], params["b2"])
-    p2, pc2 = maxpool2_forward(c2)
-    d2, m2 = dropout_forward(p2, cfg.dropout, rng, training)
-    flat = d2.reshape(d2.shape[0], -1)
+def cnn_forward(params, x, cfg: CnnConfig, training: bool, rng, keep_cache=True):
+    """Returns (logits, cache). Without keep_cache the cache is None and each
+    stage's conv output and im2col matrix are freed before the next stage's
+    are built, which halves the memory scoring needs; the logits are the same."""
+    cache, h = [x], x
+    for i in "12":
+        h, cols = conv2d_forward(h, params["w" + i], params["b" + i])
+        h, pc = maxpool2_forward(h)
+        h, m = dropout_forward(h, cfg.dropout, rng, training)
+        cache += (cols, pc, m, h) if keep_cache else ()
+        del cols, pc, m
+    flat = h.reshape(h.shape[0], -1)
     logits = dense_forward(flat, params["wd"], params["bd"])
-    cache = (x, cols1, pc1, m1, d1, cols2, pc2, m2, d2, flat)
-    return logits, cache
+    return logits, (*cache, flat) if keep_cache else None
 
 
 def cnn_backward(params, cache, grad_logits):
-    x, cols1, pc1, m1, d1, cols2, pc2, m2, d2, flat = cache
+    """cache: x; each stage's im2col matrix, pool cache, dropout mask, output; flat."""
     grads = {}
-    gflat, grads["wd"], grads["bd"] = dense_backward(flat, params["wd"], grad_logits)
-    gd2 = gflat.reshape(d2.shape)
-    gp2 = dropout_backward(m2, gd2)
-    gc2 = maxpool2_backward(pc2, gp2)
-    gd1, grads["w2"], grads["b2"] = conv2d_backward(d1.shape, params["w2"], cols2, gc2)
-    gp1 = dropout_backward(m1, gd1)
-    gc1 = maxpool2_backward(pc1, gp1)
-    _, grads["w1"], grads["b1"] = conv2d_backward(x.shape, params["w1"], cols1, gc1,
-                                                  need_grad_x=False)
+    g, grads["wd"], grads["bd"] = dense_backward(cache[9], params["wd"], grad_logits)
+    g = g.reshape(cache[8].shape)
+    for i, (inp, cols, pc, m) in (("2", cache[4:8]), ("1", cache[0:4])):
+        g = maxpool2_backward(pc, dropout_backward(m, g))
+        g, grads["w" + i], grads["b" + i] = conv2d_backward(
+            inp.shape, params["w" + i], cols, g, need_grad_x=i == "2")
     return grads
 
 

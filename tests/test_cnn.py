@@ -40,6 +40,19 @@ class TestCnnForward:
         probs = softmax(logits, axis=1)
         assert np.allclose(probs[:, 1], 1.0 - probs[:, 0], atol=1e-12)
 
+    @pytest.mark.parametrize("training", [False, True])
+    def test_cache_free_forward_same_logits(self, training):
+        """keep_cache=False frees stages early; logits and dropout draws are unchanged."""
+        rng = np.random.default_rng(7)
+        cfg = CnnConfig(filters1=4, filters2=6)
+        params = init_cnn_params((21, 19, 3), cfg, rng)
+        x = rng.uniform(-1, 1, (3, 21, 19, 3))
+        logits, cache = cnn_forward(params, x, cfg, training, np.random.default_rng(8))
+        lean, none = cnn_forward(params, x, cfg, training, np.random.default_rng(8),
+                                 keep_cache=False)
+        assert none is None and len(cache) == 10 and cache[0] is x
+        assert lean.tobytes() == logits.tobytes()
+
 
 class TestCnnGradients:
     @pytest.mark.parametrize("shape,kernel", [((8, 8, 3), 2), ((12, 12, 3), 3)])
