@@ -43,7 +43,7 @@ def _cohort_from_flag(flag: str) -> CohortFilter:
             return CohortFilter(kind, days=int(arg or DELAY_CUTOFF_DAYS))
         except ValueError:
             raise ConfigError(f"cohort {flag!r} needs a whole number of days > 0") from None
-    raise VoxscreenError(f"unknown cohort {flag!r}")
+    raise ConfigError(f"unknown cohort {flag!r}")
 
 
 def _load_examples(manifest_path: str, cohort: str):
@@ -151,7 +151,7 @@ def _collect_features(args, examples) -> np.ndarray:
             vxf = feature_dir / name
             matrix, kind = read_feature(str(vxf))
             if kind != args.feature:
-                raise VoxscreenError(
+                raise ConfigError(
                     f"{vxf} holds {kind!r} features but the run asks for "
                     f"{args.feature!r}; re-extract or point elsewhere")
         else:
@@ -196,8 +196,8 @@ def _run_cv(args, runs: list[tuple[str, dict]], **fingerprinted) -> list:
     _write_fingerprint(out_dir, {
         "command": args.command, "manifest": args.manifest, "cohort": args.cohort,
         "feature": args.feature, "params": _feature_params(args)[2], "model": args.model,
-        "hyper": _hyper_from_args(args), "force": args.force, "k": args.k,
-        "seed": args.seed, **fingerprinted})
+        "hyper": _hyper_from_args(args), "force": args.force, "k": args.k, "seed": args.seed,
+        "features_sha256": hashlib.sha256(features).hexdigest(), **fingerprinted})
     return reports
 
 

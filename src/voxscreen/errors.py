@@ -39,10 +39,6 @@ class InfeasibleBankError(VoxscreenError):
     """Mel filterbank cannot be built at the requested FFT resolution."""
 
 
-class WeightShapeMismatchError(VoxscreenError):
-    """Loaded encoder weights disagree with the configured geometry."""
-
-
 # --- learners ---
 
 class DimensionMismatchError(VoxscreenError):
@@ -94,7 +90,7 @@ class ConfigError(VoxscreenError):
 # --- stored files ---
 
 class CorruptFileError(VoxscreenError):
-    """A stored file (VXF1, VXM1, VXW1, an extract's index.csv) has a bad
+    """A stored file (VXF1, VXM1, an extract's index.csv) has a bad
     magic, an unknown tag or a short or garbled payload."""
 
 

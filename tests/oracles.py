@@ -155,6 +155,18 @@ def gelu(x):
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
 
 
+def sigmoid(x):
+    """Logistic function as first written: 1 / (1 + exp(-x)) where x >= 0 and
+    exp(x) / (1 + exp(x)) elsewhere, each side on its masked entries only."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 # --- 2x2 max pooling ---
 
 def maxpool2_forward(x):

@@ -261,7 +261,7 @@ def test_criterion_6_encoder_geometry():
     cfg = EncoderConfig()
     assert cfg.stride_product == 320
     assert 320 / 16000 == 0.02  # seconds per output frame
-    small = EncoderConfig(channels=8, weight_source="seeded:6")
+    small = EncoderConfig(channels=8)
     rng = np.random.default_rng(505)
     for n in rng.integers(400, 8000, size=20):
         clip = AudioClip(rng.uniform(-1, 1, int(n)), 16000)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import voxscreen.cli
-from voxscreen.cli import main
-from voxscreen.features_io import read_feature
+from voxscreen.cli import build_parser, main
+from voxscreen.errors import ConfigError, CorruptFileError
+from voxscreen.features_io import read_feature, write_feature
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +185,23 @@ class TestCv:
                      "--feature", "mfcc_vector", "--features", str(feats),
                      "--model", "logreg", "--k", "4", "--seed", "1",
                      "--out", str(out)]) == 0
+
+    def test_fingerprint_pins_the_features_read(self, corpus, tmp_path):
+        feats = tmp_path / "feats"
+        _extract(corpus, feats)
+
+        def features_sha256(name):
+            assert _cv(corpus, tmp_path / name, "--features", str(feats)) == 0
+            doc = json.loads((tmp_path / name / "fingerprint.json").read_text())
+            return doc["config"]["features_sha256"]
+
+        first = features_sha256("r1")
+        assert features_sha256("r2") == first
+        vxf = sorted(feats.glob("*.vxf"))[2]
+        matrix, kind = read_feature(str(vxf))
+        matrix[0, 5] += 1.0
+        write_feature(str(vxf), matrix, kind)  # index.csv still lists it as current
+        assert features_sha256("r3") != first
 
     def test_truncated_feature_file_is_an_error(self, corpus, tmp_path, capsys):
         feats = tmp_path / "feats"
@@ -399,6 +417,8 @@ class TestReport:
     ["cv", "--model", "svm", "--C", "0"],
     ["cv", "--model", "lstm", "--dropout", "1.5"],
     ["gamma-sweep", "--gammas=-0.1,0.1"],
+    ["cv", "--cohort", "everyone"],
+    ["cv", "--features", "MISLABELLED"],
 ])
 def test_bad_value_is_an_error_line_not_a_traceback(argv, corpus, tmp_path, capsys):
     command, *flags = argv
@@ -406,8 +426,16 @@ def test_bad_value_is_an_error_line_not_a_traceback(argv, corpus, tmp_path, caps
         (tmp_path / "report.json").write_text(flags[0])
         flags = [str(tmp_path / "report.json")]
     else:
+        if flags[-1] == "MISLABELLED":  # index and params match, the VXF1 tag does not
+            flags[-1] = str(tmp_path / "feats")
+            _extract(corpus, tmp_path / "feats")
+            for vxf in (tmp_path / "feats").glob("*.vxf"):
+                write_feature(str(vxf), read_feature(str(vxf))[0], "encoder")
         flags = ["--manifest", str(corpus / "manifest.csv"), "--feature", "mfcc_vector",
                  "--k", "4", "--out", str(tmp_path / "out"),
                  *(["--model", "logreg"] if command == "cv" else []), *flags]
     assert main([command, *flags]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    args = build_parser().parse_args([command, *flags])
+    with pytest.raises(CorruptFileError if command == "report" else ConfigError):
+        args.fn(args)

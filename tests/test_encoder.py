@@ -1,4 +1,4 @@
-"""Convolutional encoder geometry, determinism, weight files."""
+"""Convolutional encoder geometry, determinism, GELU equivalence."""
 
 import numpy as np
 import pytest
@@ -10,18 +10,14 @@ from voxscreen.encoder import (
     ENCODER_KERNELS,
     ENCODER_STRIDES,
     EncoderConfig,
-    EncoderWeights,
     encoder_apply,
     encoder_output_length,
-    load_weights,
-    save_weights,
-    seeded_weights,
 )
-from voxscreen.errors import DegenerateInputError, WeightShapeMismatchError
+from voxscreen.errors import DegenerateInputError
 from voxscreen.learners import layers
 from voxscreen.learners.layers import gelu
 
-SMALL = EncoderConfig(channels=8, weight_source="seeded:3")
+SMALL = EncoderConfig(channels=8)
 
 
 class TestOutputLength:
@@ -74,8 +70,7 @@ class TestEncoderApply:
         assert np.array_equal(a, b)
 
     def test_full_width_one_second(self):
-        feats = encoder_apply(synth_clip(0, 1, 1.0),
-                              EncoderConfig(weight_source="seeded:1"))
+        feats = encoder_apply(synth_clip(0, 1, 1.0), EncoderConfig())
         assert feats.shape == (49, 512)
 
     def test_wrong_rate_rejected(self):
@@ -111,35 +106,3 @@ class TestGeluMatchesPowForm:
         slow = [encoder_apply(c, cfg).astype("<f4").tobytes() for c in clips]
         assert fast == slow
 
-
-class TestWeightFiles:
-    def test_roundtrip(self, tmp_path):
-        weights = seeded_weights(SMALL, 3)
-        path = tmp_path / "enc.vxw"
-        save_weights(weights, str(path))
-        loaded = load_weights(str(path))
-        assert len(loaded.layers) == 7
-        for (w0, b0), (w1, b1) in zip(weights.layers, loaded.layers):
-            assert np.allclose(w0, w1, atol=1e-6)
-            assert np.array_equal(b0, b1)
-
-    def test_file_weights_reproduce_features(self, tmp_path):
-        clip = synth_clip(1, 5, 0.5)
-        path = tmp_path / "enc.vxw"
-        save_weights(seeded_weights(SMALL, 3), str(path))
-        from_file = encoder_apply(clip, EncoderConfig(
-            channels=8, weight_source=f"file:{path}"))
-        seeded = encoder_apply(clip, SMALL)
-        assert np.max(np.abs(from_file - seeded)) < 1e-5
-
-    def test_shape_mismatch_detected(self, tmp_path):
-        path = tmp_path / "enc.vxw"
-        save_weights(seeded_weights(SMALL, 3), str(path))
-        wrong = EncoderConfig(channels=16, weight_source=f"file:{path}")
-        with pytest.raises(WeightShapeMismatchError):
-            encoder_apply(synth_clip(0, 1, 0.5), wrong)
-
-    def test_layer_count_mismatch(self):
-        weights = EncoderWeights(seeded_weights(SMALL, 0).layers[:5])
-        with pytest.raises(WeightShapeMismatchError):
-            weights.validate(SMALL)

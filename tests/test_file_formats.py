@@ -1,4 +1,4 @@
-"""VXF1 and VXM1 bytes pinned per kind; VXF1/VXM1/VXW1/WAV decoders under damage."""
+"""VXF1 and VXM1 bytes pinned per kind; VXF1/VXM1/WAV decoders under damage."""
 
 import hashlib
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from voxscreen.audio_io import AudioClip, load_wav, save_wav
-from voxscreen.encoder import EncoderWeights, load_weights, save_weights
 from voxscreen.errors import CorruptFileError, VoxscreenError
 from voxscreen.features_io import FEATURE_TAGS, read_feature, write_feature
 from voxscreen.learners import TrainedModel, load_model, save_model
@@ -128,23 +127,6 @@ def test_vxm1_damage_decodes_or_raises_corrupt_file(kind, tmp_path):
         except CorruptFileError:
             continue
     assert decoded == [kind]  # each kind's payload fits only its own tag
-
-
-def test_vxw1_damage_decodes_or_raises_corrupt_file(tmp_path):
-    rng = np.random.default_rng(13)
-    weights = EncoderWeights(((rng.normal(size=(2, 1, 3)), np.zeros(2)),
-                              (rng.normal(size=(2, 2, 2)), np.ones(2))))
-    good = tmp_path / "good.vxw"
-    save_weights(weights, str(good))
-    data = good.read_bytes()
-    bad = tmp_path / "bad.vxw"
-    for damaged in [data[:cut] for cut in range(len(data))] + [data + b"\0", b"VXW2" + data[4:]]:
-        bad.write_bytes(damaged)
-        with pytest.raises(CorruptFileError):
-            load_weights(str(bad))
-    loaded = load_weights(str(good))
-    for (w0, b0), (w1, b1) in zip(weights.layers, loaded.layers):
-        assert np.allclose(w0, w1, atol=1e-6) and np.array_equal(b0, b1)
 
 
 def test_wav_damage_decodes_or_raises_typed_error():

@@ -1,5 +1,5 @@
 """Finite-difference verification of every differentiable block, and
-max-pool's byte equality with its first-written form."""
+max-pool's and sigmoid's byte equality with their first-written forms."""
 
 import os
 import pathlib
@@ -52,6 +52,14 @@ class TestActivations:
         y = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
         assert np.all(np.isfinite(y))
         assert y[1] == 0.5
+
+    def test_sigmoid_bytes_match_masked_form(self):
+        edges = [0.0, np.inf, 5e-324, 1e-300, 710.0, 745.0]
+        edges = np.array(edges + [-v for v in edges] + [-746.0])
+        rng = np.random.default_rng(21)
+        for x in [edges] + [rng.normal(0.0, s, 200_000) for s in (0.01, 1, 10, 100, 1000)]:
+            assert sigmoid(x).tobytes() == oracles.sigmoid(x).tobytes()
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
 
     def test_relu_grad(self):
         x = RNG.normal(size=13) + 0.05  # keep away from the kink

@@ -133,7 +133,7 @@ class TestRecipeValidation:
 class TestEncoderHeadPath:
     def test_logreg_on_encoder_features(self):
         """The encoder-head recipe: mean-pooled features, linear head."""
-        cfg = EncoderConfig(channels=8, weight_source="seeded:2")
+        cfg = EncoderConfig(channels=8)
         clips = [synth_clip(lab, 100 + i, 0.6) for i, lab in
                  enumerate([0] * 6 + [1] * 6)]
         feats = np.stack([extract_feature(c, "encoder", encoder_cfg=cfg) for c in clips])
