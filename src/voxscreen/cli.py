@@ -158,6 +158,10 @@ def _collect_features(args, examples) -> np.ndarray:
             clip = load_clip(manifest_dir / ex.clip_path)
             matrix = extract_matrix(clip, args.feature, frame=frame, mel=mel)
         features.append(feature_from_matrix(matrix, args.feature))
+        if features[-1].shape != features[0].shape:
+            raise CorruptFileError(
+                f"{vxf if listed else ex.clip_path}: features of shape {features[-1].shape}, "
+                f"but {examples[0].clip_path} gave {features[0].shape}")
     return np.array(features)  # stacked once; an empty run stays a typed fold error
 
 

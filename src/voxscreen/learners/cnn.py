@@ -28,6 +28,7 @@ from .layers import (
 
 CNN_EPOCHS = 100
 CNN_BATCH = 32
+SCORE_CHUNK = 4  # images per conv pass in CnnModel.scores
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,13 @@ class CnnModel:
     input_shape: tuple[int, int, int]
 
     def scores(self, images: np.ndarray) -> np.ndarray:
-        """Softmax probability of class 1, dropout off."""
-        logits, _ = cnn_forward(self.params, images, self.config,
-                                training=False, rng=None, keep_cache=False)
+        """Softmax probability of class 1, dropout off. The conv stages see
+        SCORE_CHUNK images at a time, so memory does not grow with the fold.
+        The dense layer sees the whole fold: its matmul's sums would change
+        with the row count."""
+        flat = np.concatenate([_stages(self.params, images[s:s + SCORE_CHUNK], self.config)
+                               for s in range(0, len(images), SCORE_CHUNK)])
+        logits = dense_forward(flat, self.params["wd"], self.params["bd"])
         return softmax(logits, axis=1)[:, 1]
 
 
@@ -74,20 +79,26 @@ def init_cnn_params(input_shape, cfg: CnnConfig, rng) -> dict[str, np.ndarray]:
     return p
 
 
-def cnn_forward(params, x, cfg: CnnConfig, training: bool, rng, keep_cache=True):
-    """Returns (logits, cache). Without keep_cache the cache is None and each
-    stage's conv output and im2col matrix are freed before the next stage's
-    are built, which halves the memory scoring needs; the logits are the same."""
-    cache, h = [x], x
+def _stages(params, x, cfg: CnnConfig, training=False, rng=None, cache=None):
+    """Both conv/pool/dropout stages; returns the flat features. Each stage's
+    im2col matrix, pool cache, dropout mask and output go to cache if given,
+    and are otherwise freed before the next stage builds its own."""
+    h = x
     for i in "12":
         h, cols = conv2d_forward(h, params["w" + i], params["b" + i])
         h, pc = maxpool2_forward(h)
         h, m = dropout_forward(h, cfg.dropout, rng, training)
-        cache += (cols, pc, m, h) if keep_cache else ()
+        if cache is not None:
+            cache += (cols, pc, m, h)
         del cols, pc, m
-    flat = h.reshape(h.shape[0], -1)
-    logits = dense_forward(flat, params["wd"], params["bd"])
-    return logits, (*cache, flat) if keep_cache else None
+    return h.reshape(h.shape[0], -1)
+
+
+def cnn_forward(params, x, cfg: CnnConfig, training: bool, rng):
+    """Returns (logits, cache), cache = (x, each stage's four, flat)."""
+    cache = [x]
+    flat = _stages(params, x, cfg, training, rng, cache)
+    return dense_forward(flat, params["wd"], params["bd"]), (*cache, flat)
 
 
 def cnn_backward(params, cache, grad_logits):

@@ -111,12 +111,12 @@ def conv2d_backward(x_shape, w, cols, grad_out, need_grad_x=True):
     grad_b = flat_grad.sum(axis=0)
     if not need_grad_x:
         return None, grad_w, grad_b
-    wmat = w.transpose(2, 0, 1, 3).reshape(c_in * kh * kw, c_out)
-    grad_cols = (flat_grad @ wmat.T).reshape(n, h_out, w_out, c_in, kh, kw)
+    # columns in (kh, kw, c_in) order, so each tap's slice holds contiguous channels
+    grad_cols = (flat_grad @ w.reshape(-1, c_out).T).reshape(n, h_out, w_out, kh, kw, c_in)
     grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
     for i in range(kh):
         for j in range(kw):
-            grad_x[:, i:i + h_out, j:j + w_out, :] += grad_cols[:, :, :, :, i, j]
+            grad_x[:, i:i + h_out, j:j + w_out, :] += grad_cols[:, :, :, i, j]
     return grad_x, grad_w, grad_b
 
 

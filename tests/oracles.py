@@ -195,3 +195,38 @@ def maxpool2_backward(cache, grad_out):
     for q, view in enumerate(views):
         view += np.where(idx == q, grad_out, 0.0)
     return grad_x
+
+
+# --- CNN scoring and conv input gradient ---
+
+def cnn_scores(params, images):
+    """CnnModel.scores as first written: the whole fold through both
+    conv/pool stages and the dense layer as one batch, im2col columns in
+    the window's (c_in, kh, kw) order, dropout off."""
+    h = images
+    for i in "12":
+        w = params["w" + i]
+        kh, kw, c_in, c_out = w.shape
+        windows = np.lib.stride_tricks.sliding_window_view(h, (kh, kw), axis=(1, 2))
+        cols = windows.reshape(*windows.shape[:3], c_in * kh * kw)
+        h = cols @ w.transpose(2, 0, 1, 3).reshape(c_in * kh * kw, c_out)
+        h += params["b" + i]
+        h = maxpool2_forward(h)[0]
+    logits = h.reshape(h.shape[0], -1) @ params["wd"] + params["bd"]
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return (e / e.sum(axis=1, keepdims=True))[:, 1]
+
+
+def conv2d_grad_x(x_shape, w, grad_out):
+    """Conv input gradient as first written: grad_cols in (c_in, kh, kw)
+    column order, then the nine strided slices added one tap at a time."""
+    kh, kw, c_in, c_out = w.shape
+    n, h_out, w_out, _ = grad_out.shape
+    wmat = w.transpose(2, 0, 1, 3).reshape(c_in * kh * kw, c_out)
+    grad_cols = (grad_out.reshape(-1, c_out) @ wmat.T).reshape(n, h_out, w_out, c_in, kh, kw)
+    grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            grad_x[:, i:i + h_out, j:j + w_out, :] += grad_cols[:, :, :, :, i, j]
+    return grad_x

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gradcheck import max_relative_error, numeric_grad
 
 from voxscreen.audio_io import AudioClip, synth_clip
 from voxscreen.datasets import (
@@ -27,7 +28,6 @@ from voxscreen.encoder import EncoderConfig, encoder_apply, encoder_output_lengt
 from voxscreen.evaluation import cross_validate, roc_auc, stratified_folds
 from voxscreen.learners import kkt_violations, smo_solve, train_logreg
 from voxscreen.learners.cnn import CnnConfig, cnn_backward, cnn_forward, init_cnn_params
-from voxscreen.learners.gradcheck import max_relative_error, numeric_grad
 from voxscreen.learners.layers import (
     bce_from_logits,
     conv2d_backward,

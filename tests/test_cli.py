@@ -419,23 +419,33 @@ class TestReport:
     ["gamma-sweep", "--gammas=-0.1,0.1"],
     ["cv", "--cohort", "everyone"],
     ["cv", "--features", "MISLABELLED"],
+    ["cv", "--features", "NARROWED"],
 ])
 def test_bad_value_is_an_error_line_not_a_traceback(argv, corpus, tmp_path, capsys):
     command, *flags = argv
+    damage = flags[-1]
     if command == "report":
         (tmp_path / "report.json").write_text(flags[0])
         flags = [str(tmp_path / "report.json")]
     else:
-        if flags[-1] == "MISLABELLED":  # index and params match, the VXF1 tag does not
+        if damage in ("MISLABELLED", "NARROWED"):
             flags[-1] = str(tmp_path / "feats")
             _extract(corpus, tmp_path / "feats")
-            for vxf in (tmp_path / "feats").glob("*.vxf"):
+            vxfs = sorted((tmp_path / "feats").glob("*.vxf"))
+        if damage == "MISLABELLED":  # index and params match, the VXF1 tag does not
+            for vxf in vxfs:
                 write_feature(str(vxf), read_feature(str(vxf))[0], "encoder")
+        if damage == "NARROWED":  # one file keeps 20 of its 40 MFCC columns
+            write_feature(str(vxfs[-1]), read_feature(str(vxfs[-1]))[0][:, :20], "mfcc_vector")
         flags = ["--manifest", str(corpus / "manifest.csv"), "--feature", "mfcc_vector",
                  "--k", "4", "--out", str(tmp_path / "out"),
                  *(["--model", "logreg"] if command == "cv" else []), *flags]
     assert main([command, *flags]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    corrupt = command == "report" or damage == "NARROWED"
+    if damage == "NARROWED":
+        assert vxfs[-1].name in err and "(20,)" in err and "(40,)" in err
     args = build_parser().parse_args([command, *flags])
-    with pytest.raises(CorruptFileError if command == "report" else ConfigError):
+    with pytest.raises(CorruptFileError if corrupt else ConfigError):
         args.fn(args)

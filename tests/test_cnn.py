@@ -1,12 +1,19 @@
-"""CNN classifier: softmax contract, reduced gradient check, training."""
+"""CNN classifier: softmax contract, chunked scoring, reduced gradient
+check, training."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
+from gradcheck import max_relative_error, numeric_grad
+from test_layers import ONE_BLAS_THREAD, REDUCED_DISPATCH, run_check
+
 from voxscreen.errors import NonFiniteLossError, SingleClassDataError
 from voxscreen.learners import train_cnn
-from voxscreen.learners.cnn import CnnConfig, cnn_backward, cnn_forward, init_cnn_params
-from voxscreen.learners.gradcheck import max_relative_error, numeric_grad
+from voxscreen.learners.cnn import (SCORE_CHUNK, CnnConfig, CnnModel, cnn_backward, cnn_forward,
+                                    init_cnn_params)
 from voxscreen.learners.layers import softmax, softmax_cross_entropy
 
 
@@ -41,17 +48,78 @@ class TestCnnForward:
         assert np.allclose(probs[:, 1], 1.0 - probs[:, 0], atol=1e-12)
 
     @pytest.mark.parametrize("training", [False, True])
-    def test_cache_free_forward_same_logits(self, training):
-        """keep_cache=False frees stages early; logits and dropout draws are unchanged."""
+    def test_cache_holds_each_stage(self, training):
+        """x, then each stage's im2col matrix, pool cache, dropout mask and
+        output, then the flat features the dense layer read."""
         rng = np.random.default_rng(7)
         cfg = CnnConfig(filters1=4, filters2=6)
         params = init_cnn_params((21, 19, 3), cfg, rng)
         x = rng.uniform(-1, 1, (3, 21, 19, 3))
         logits, cache = cnn_forward(params, x, cfg, training, np.random.default_rng(8))
-        lean, none = cnn_forward(params, x, cfg, training, np.random.default_rng(8),
-                                 keep_cache=False)
-        assert none is None and len(cache) == 10 and cache[0] is x
-        assert lean.tobytes() == logits.tobytes()
+        assert len(cache) == 10 and cache[0] is x
+        assert cache[1].shape == (3, 19, 17, 27) and cache[8].shape == (3, 3, 3, 6)
+        assert (cache[3] is None) != training and (cache[7] is None) != training
+        assert cache[9].shape == (3, 54)
+        assert logits.tobytes() == (cache[9] @ params["wd"] + params["bd"]).tobytes()
+
+
+# (input shape, fold sizes): sizes on and off the chunk multiple; the
+# 150x150x3 screening input once
+SCORE_CASES = (((26, 30, 3), (1, 3, 4, 5, 13)), ((150, 150, 3), (5,)))
+
+
+def check_every_score_case():
+    """CnnModel.scores, conv stages in chunks, equals the whole-fold form
+    byte for byte on float64 and float32 folds."""
+    assert SCORE_CHUNK == 4
+    for shape, sizes in SCORE_CASES:
+        rng = np.random.default_rng(11)
+        cfg = CnnConfig()
+        model = CnnModel(init_cnn_params(shape, cfg, rng), cfg, shape)
+        for n in sizes:
+            planes = rng.uniform(0, 1, (n, *shape[:2]))
+            for images in (np.broadcast_to(planes[..., None], (n, *shape)),  # as cv scores
+                           rng.normal(size=(n, *shape)).astype(np.float32)):
+                got = model.scores(images)
+                want = oracles.cnn_scores(model.params, images)
+                assert got.shape == (n,) and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (shape, n, images.dtype)
+
+
+def traced_peak(model, images):
+    """tracemalloc's peak, in bytes, while model scores images."""
+    tracemalloc.start()
+    try:
+        model.scores(images)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedScores:
+    """CnnModel.scores against the whole-fold cnn_forward it replaced
+    (tests/oracles.py)."""
+
+    def test_bytes_equal(self):
+        check_every_score_case()
+
+    @pytest.mark.parametrize("extra_env", [ONE_BLAS_THREAD, REDUCED_DISPATCH],
+                             ids=["one_blas_thread", "reduced_dispatch"])
+    def test_bytes_equal_in_subprocess(self, extra_env):
+        run_check("import test_cnn; test_cnn.check_every_score_case()", extra_env)
+
+    def test_peak_memory_flat_in_fold_size(self):
+        """Scoring 32 images peaks less than one chunk's working set (the
+        peak of scoring 4 images) above scoring 8; the whole-fold form grew
+        by about 8 MB an image."""
+        cfg = CnnConfig()
+        shape = (150, 150, 3)
+        model = CnnModel(init_cnn_params(shape, cfg, np.random.default_rng(12)), cfg, shape)
+        planes = np.random.default_rng(13).uniform(0, 1, (32, *shape[:2]))
+        images = np.broadcast_to(planes[..., None], (32, *shape))
+        chunk = traced_peak(model, images[:4])
+        growth = traced_peak(model, images) - traced_peak(model, images[:8])
+        assert growth < chunk, (growth, chunk)
 
 
 class TestCnnGradients:

@@ -1,5 +1,6 @@
 """Finite-difference verification of every differentiable block, and
-max-pool's and sigmoid's byte equality with their first-written forms."""
+max-pool's, sigmoid's and the conv input gradient's byte equality with
+their first-written forms."""
 
 import os
 import pathlib
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import oracles
+from gradcheck import max_relative_error, numeric_grad
 import voxscreen
-from voxscreen.learners.gradcheck import max_relative_error, numeric_grad
 from voxscreen.learners.layers import (
     bce_from_logits,
     conv2d_backward,
@@ -220,19 +221,71 @@ class TestMaxPoolMatchesOldForm:
     def test_reduced_cpu_dispatch(self):
         """numpy picks its SIMD loops at run time: rerun every case with the
         AVX-512 loops disabled."""
-        tests_dir = pathlib.Path(__file__).parent
-        src_dir = pathlib.Path(voxscreen.__file__).parent.parent
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
-                   PYTHONPATH=os.pathsep.join([str(tests_dir), str(src_dir)]))
-        probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
-                               capture_output=True, text=True)
-        if probe.returncode != 0:
-            pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES: "
-                        + probe.stderr.strip().splitlines()[-1])
-        run = subprocess.run(
-            [sys.executable, "-c", "import test_layers; test_layers.check_every_pool_case()"],
-            env=env, capture_output=True, text=True, cwd=tests_dir)
-        assert run.returncode == 0, run.stderr
+        run_check("import test_layers; test_layers.check_every_pool_case()", REDUCED_DISPATCH)
+
+
+# (x shape, w shape): conv1 and conv2 of the 150x150x3 network, a
+# non-square kernel, a one-pixel output
+CONV_CASES = (((2, 150, 150, 3), (3, 3, 3, 16)), ((4, 74, 74, 16), (3, 3, 16, 32)),
+              ((3, 9, 11, 5), (2, 3, 5, 7)), ((2, 3, 3, 4), (3, 3, 4, 6)))
+
+
+def conv_case(dtype, x_shape, w_shape):
+    """Weights and an upstream gradient that, like max-pool's, is mostly +0
+    with some -0 entries."""
+    rng = np.random.default_rng(3)
+    out_shape = (x_shape[0], x_shape[1] - w_shape[0] + 1, x_shape[2] - w_shape[1] + 1,
+                 w_shape[3])
+    grad = rng.normal(size=out_shape) * rng.choice(np.array([0.0, 0.0, -0.0, 1.0]),
+                                                   size=out_shape)
+    return rng.normal(size=w_shape).astype(dtype), grad.astype(dtype)
+
+
+def check_every_conv_case():
+    """conv2d_backward's grad_x, with its tap-order columns, equals the
+    (c_in, kh, kw) form byte for byte."""
+    for dtype in (np.float32, np.float64):
+        for x_shape, w_shape in CONV_CASES:
+            w, grad = conv_case(dtype, x_shape, w_shape)
+            x = np.zeros(x_shape, dtype)
+            grad_x = conv2d_backward(x_shape, w, conv2d_forward(x, w, np.zeros(w_shape[3]))[1],
+                                     grad)[0]
+            want = oracles.conv2d_grad_x(x_shape, w, grad)
+            assert grad_x.dtype == want.dtype == dtype
+            assert grad_x.tobytes() == want.tobytes(), (dtype, x_shape, w_shape)
+
+
+REDUCED_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
+
+
+def run_check(statement, extra_env):
+    """Runs statement in a fresh interpreter in the tests directory with
+    extra_env set; skips if numpy will not start under it."""
+    tests_dir = pathlib.Path(__file__).parent
+    src_dir = pathlib.Path(voxscreen.__file__).parent.parent
+    env = dict(os.environ, **extra_env,
+               PYTHONPATH=os.pathsep.join([str(tests_dir), str(src_dir)]))
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy refuses {extra_env}: " + probe.stderr.strip().splitlines()[-1])
+    run = subprocess.run([sys.executable, "-c", statement], env=env,
+                         capture_output=True, text=True, cwd=tests_dir)
+    assert run.returncode == 0, run.stderr
+
+
+class TestConvGradXMatchesOldForm:
+    """grad_x from (kh, kw, c_in)-ordered columns against the (c_in, kh, kw)
+    form it replaced (tests/oracles.py)."""
+
+    def test_bytes_equal(self):
+        check_every_conv_case()
+
+    @pytest.mark.parametrize("extra_env", [ONE_BLAS_THREAD, REDUCED_DISPATCH],
+                             ids=["one_blas_thread", "reduced_dispatch"])
+    def test_bytes_equal_in_subprocess(self, extra_env):
+        run_check("import test_layers; test_layers.check_every_conv_case()", extra_env)
 
 
 class TestDropout:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from gradcheck import max_relative_error, numeric_grad
+
 from voxscreen.errors import SingleClassDataError
 from voxscreen.learners import train_logreg
-from voxscreen.learners.gradcheck import max_relative_error, numeric_grad
 from voxscreen.learners.logreg import LogRegModel, logreg_loss_grad
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from gradcheck import max_relative_error, numeric_grad
+
 from voxscreen.errors import EmptySequenceError, SingleClassDataError
 from voxscreen.learners import train_lstm
-from voxscreen.learners.gradcheck import max_relative_error, numeric_grad
 from voxscreen.learners.lstm import (
     LstmConfig,
     init_lstm_params,
