@@ -90,8 +90,8 @@ class ConfigError(VoxscreenError):
 # --- stored files ---
 
 class CorruptFileError(VoxscreenError):
-    """A stored file (VXF1, VXM1, an extract's index.csv) has a bad
-    magic, an unknown tag or a short or garbled payload."""
+    """A stored file (VXF1, an extract's index.csv) has a bad magic, an
+    unknown tag or a short, empty or garbled payload."""
 
 
 # --- manifests ---

@@ -37,6 +37,8 @@ def read_feature(path: str) -> tuple[np.ndarray, str]:
     kind = next((k for k, value in FEATURE_TAGS.items() if value == tag), None)
     if kind is None:
         raise CorruptFileError(f"{path}: unknown VXF1 feature tag {tag}")
+    if rows == 0 or cols == 0:
+        raise CorruptFileError(f"{path}: empty {rows}x{cols} VXF1 matrix")
     if len(data) != _HEADER.size + 4 * rows * cols:
         raise CorruptFileError(
             f"{path}: {len(data)} bytes, but a {rows}x{cols} VXF1 matrix needs "

@@ -4,7 +4,7 @@ from .adam import Adam
 from .cnn import CnnConfig, CnnModel, train_cnn
 from .logreg import LogRegModel, train_logreg
 from .lstm import LstmConfig, LstmModel, train_lstm
-from .models import TrainedModel, load_model, predict_score, save_model, svm_raw_score
+from .models import TrainedModel
 from .svm import SvmModel, kkt_violations, rbf_kernel, smo_solve, train_svm_smo
 
 __all__ = [
@@ -12,6 +12,6 @@ __all__ = [
     "CnnConfig", "CnnModel", "train_cnn",
     "LogRegModel", "train_logreg",
     "LstmConfig", "LstmModel", "train_lstm",
-    "TrainedModel", "load_model", "predict_score", "save_model", "svm_raw_score",
+    "TrainedModel",
     "SvmModel", "kkt_violations", "rbf_kernel", "smo_solve", "train_svm_smo",
 ]

@@ -47,7 +47,6 @@ class CnnConfig:
 class CnnModel:
     params: dict[str, np.ndarray]
     config: CnnConfig
-    input_shape: tuple[int, int, int]
 
     def scores(self, images: np.ndarray) -> np.ndarray:
         """Softmax probability of class 1, dropout off. The conv stages see
@@ -149,4 +148,4 @@ def train_cnn(images, labels, epochs: int = CNN_EPOCHS, batch: int = CNN_BATCH,
             grads = cnn_backward(params, cache, grad_logits)
             params = opt.step(params, grads)
     return CnnModel(params={k: v.astype(np.float64) for k, v in params.items()},
-                    config=config, input_shape=tuple(images.shape[1:]))
+                    config=config)

@@ -45,7 +45,6 @@ class LstmConfig:
 class LstmModel:
     params: dict[str, np.ndarray]
     config: LstmConfig
-    input_dim: int
 
     def scores(self, sequences: np.ndarray) -> np.ndarray:
         p, _ = lstm_forward(self.params, np.asarray(sequences, dtype=np.float64),
@@ -188,4 +187,4 @@ def train_lstm(sequences, labels, epochs: int = LSTM_EPOCHS, batch: int = LSTM_B
                 raise NonFiniteLossError(f"loss diverged at step {opt.t}: {loss!r}")
             grads = lstm_backward(params, cache, dz2, config)
             params = opt.step(params, grads)
-    return LstmModel(params=params, config=config, input_dim=xs.shape[2])
+    return LstmModel(params=params, config=config)

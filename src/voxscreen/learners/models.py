@@ -1,22 +1,20 @@
 """The model table, and the uniform trained-model surface built on it:
-tagged wrapper, scoring, VXM1 files."""
+the fitted-model wrapper and its scoring."""
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from ..errors import CorruptFileError, FeatureKindMismatchError
+from ..errors import FeatureKindMismatchError
 from ..render import Standardizer
-from .cnn import CnnConfig, CnnModel, train_cnn
+from .cnn import CnnConfig, train_cnn
 from .layers import sigmoid
-from .logreg import LogRegModel, train_logreg
-from .lstm import LstmConfig, LstmModel, train_lstm
-from .svm import SvmModel, train_svm_smo
+from .logreg import train_logreg
+from .lstm import LstmConfig, train_lstm
+from .svm import train_svm_smo
 
 
 @dataclass(frozen=True)
@@ -27,13 +25,10 @@ class ModelSpec:
     rebinding a train_* name in this module reaches every fold.
     """
 
-    tag: int                    # VXM1 kind byte
     images: bool                # reads [n, h, w] gray planes, else standardized [n, d] rows
     hyper: dict[str, Callable]  # recipe hyper keys it reads -> cast that range-checks
     fit: Callable               # (x, labels, seed, hyper) -> fitted model
     score: Callable             # (fitted, x) -> scores in [0, 1]
-    dump: Callable              # fitted -> (VXM1 hyper block, named tensors)
-    load: Callable              # (hyper block, tensors) -> fitted
 
 
 def _ranged(cast, ok, rule: str) -> Callable:
@@ -57,10 +52,6 @@ def _with_config(config_cls, hyper: dict) -> dict:
             **{k: v for k, v in hyper.items() if k not in names}}
 
 
-def _load_config(config_cls, hyper: dict):
-    return config_cls(**{f.name: hyper[f.name] for f in fields(config_cls)})
-
-
 def _channels(planes: np.ndarray) -> np.ndarray:
     """[n, h, w] gray planes as the CNN's [n, h, w, 3] input: a read-only view,
     so the three identical channels cost no memory until train_cnn casts them."""
@@ -69,48 +60,31 @@ def _channels(planes: np.ndarray) -> np.ndarray:
 
 MODELS = {
     "logreg": ModelSpec(
-        tag=0, images=False, hyper={"epochs": COUNT, "lr": POSITIVE},
+        images=False, hyper={"epochs": COUNT, "lr": POSITIVE},
         fit=lambda x, y, seed, h: train_logreg(x, y, **h),
-        score=lambda m, x: m.scores(x),
-        dump=lambda m: ({}, {"weights": m.weights, "bias": np.array([m.bias])}),
-        load=lambda h, t: LogRegModel(weights=t["weights"], bias=float(t["bias"][0]))),
+        score=lambda m, x: m.scores(x)),
     "svm": ModelSpec(
-        tag=1, images=False,
+        images=False,
         hyper={"C": POSITIVE, "gamma": POSITIVE, "tol": POSITIVE, "max_passes": COUNT},
         fit=lambda x, y, seed, h: train_svm_smo(x, y, **h),
-        score=lambda m, x: sigmoid(m.decision_values(x)),
-        dump=lambda m: ({"gamma": m.gamma, "C": m.C, "converged": m.converged},
-                        {"support_vectors": m.support_vectors,
-                         "dual_coefs": m.dual_coefs, "bias": np.array([m.bias])}),
-        load=lambda h, t: SvmModel(
-            support_vectors=t["support_vectors"], dual_coefs=t["dual_coefs"],
-            bias=float(t["bias"][0]), gamma=h["gamma"], C=h["C"],
-            converged=h["converged"])),
+        score=lambda m, x: sigmoid(m.decision_values(x))),
     "cnn": ModelSpec(
-        tag=2, images=True,
+        images=True,
         hyper={"filters1": COUNT, "filters2": COUNT, "dropout": FRACTION, "lr": POSITIVE,
                "epochs": COUNT, "batch": COUNT},
         fit=lambda x, y, seed, h: train_cnn(_channels(x), y, seed=seed,
                                             **_with_config(CnnConfig, h)),
-        score=lambda m, x: m.scores(_channels(x)),
-        dump=lambda m: ({**asdict(m.config), "input_shape": list(m.input_shape)},
-                        dict(m.params)),
-        load=lambda h, t: CnnModel(params=t, config=_load_config(CnnConfig, h),
-                                   input_shape=tuple(h["input_shape"]))),
+        score=lambda m, x: m.scores(_channels(x))),
     "lstm": ModelSpec(
-        tag=3, images=False,
+        images=False,
         hyper={"hidden": COUNT, "dense": COUNT, "dropout": FRACTION, "lr": POSITIVE,
                "loss": _ranged(str, lambda v: v in ("mae", "bce"), "must be mae or bce"),
                "epochs": COUNT, "batch": COUNT},
         fit=lambda x, y, seed, h: train_lstm(x[:, :, None], y, seed=seed,
                                              **_with_config(LstmConfig, h)),
-        score=lambda m, x: m.scores(x[:, :, None]),
-        dump=lambda m: ({**asdict(m.config), "input_dim": m.input_dim}, dict(m.params)),
-        load=lambda h, t: LstmModel(params=t, config=_load_config(LstmConfig, h),
-                                    input_dim=h["input_dim"])),
+        score=lambda m, x: m.scores(x[:, :, None])),
 }
 MODEL_KINDS = tuple(MODELS)
-_TAG_KINDS = {spec.tag: kind for kind, spec in MODELS.items()}
 
 
 def model_input(features, images: bool) -> np.ndarray:
@@ -125,11 +99,10 @@ def model_input(features, images: bool) -> np.ndarray:
 
 @dataclass
 class TrainedModel:
-    """A fitted classifier plus the preprocessing recipe it expects."""
+    """A fitted classifier plus the standardizer its input rows go through."""
 
     kind: str  # a key of MODELS
     model: object
-    feature_kind: str
     standardizer: Standardizer | None = None
 
     @property
@@ -138,120 +111,10 @@ class TrainedModel:
             raise FeatureKindMismatchError(f"unknown model kind {self.kind!r}")
         return MODELS[self.kind]
 
-    def inputs(self, features) -> np.ndarray:
-        """The (standardized) array the fitted model reads."""
-        x = model_input(features, self.spec.images)
-        return x if self.standardizer is None else self.standardizer.apply(x)
-
     def score_batch(self, features) -> np.ndarray:
         """Scores in [0, 1] for a stacked feature array."""
-        return self.spec.score(self.model, self.inputs(features))
+        x = model_input(features, self.spec.images)
+        if self.standardizer is not None:
+            x = self.standardizer.apply(x)
+        return self.spec.score(self.model, x)
 
-
-def predict_score(model: TrainedModel, feature) -> float:
-    """Score one example; sigmoid/softmax output in [0, 1]."""
-    return float(model.score_batch(np.asarray(feature)[None])[0])
-
-
-def svm_raw_score(model: TrainedModel, feature) -> float:
-    """Unsquashed SVM decision value (sign = predicted side)."""
-    if model.kind != "svm":
-        raise FeatureKindMismatchError("raw decision values exist only for svm")
-    return float(model.model.decision_values(model.inputs(np.asarray(feature)[None]))[0])
-
-
-# --- VXM1 container ---
-
-MODEL_MAGIC = b"VXM1"
-
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr, dtype=np.float64)
-    head = _pack_str(name) + struct.pack("<B", arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-    return head + arr.astype("<f4").tobytes()
-
-
-class _Reader:
-    """Sequential decoder; struct.error or ValueError on a short read."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, fmt: str):
-        vals = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += struct.calcsize(fmt)
-        return vals
-
-    def take_str(self) -> str:
-        (n,) = self.take("<I")
-        if self.pos + n > len(self.data):
-            raise ValueError("string runs past the end of the file")
-        s = self.data[self.pos:self.pos + n].decode("utf-8")
-        self.pos += n
-        return s
-
-    def take_tensor(self) -> tuple[str, np.ndarray]:
-        name = self.take_str()
-        (ndim,) = self.take("<B")
-        shape = self.take(f"<{ndim}I") if ndim else ()
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(self.data, dtype="<f4", count=count,
-                            offset=self.pos).astype(np.float64)
-        self.pos += 4 * count
-        return name, arr.reshape(shape)
-
-
-def _model_payload(m: TrainedModel) -> tuple[dict, dict[str, np.ndarray]]:
-    """Hyperparameter block and named tensors, scaler included."""
-    hyper, tensors = m.spec.dump(m.model)
-    if m.standardizer is not None:
-        tensors["scaler_mean"] = m.standardizer.mean
-        tensors["scaler_std"] = m.standardizer.std
-        hyper["standardized"] = True
-    return hyper, tensors
-
-
-def save_model(m: TrainedModel, path: str) -> None:
-    hyper, tensors = _model_payload(m)
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<B", m.spec.tag))
-        fh.write(_pack_str(m.feature_kind))
-        fh.write(_pack_str(json.dumps(hyper, sort_keys=True)))
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            fh.write(_pack_tensor(name, tensors[name]))
-
-
-def load_model(path: str) -> TrainedModel:
-    data = open(path, "rb").read()
-    if data[:4] != MODEL_MAGIC:
-        raise CorruptFileError(f"{path}: not a VXM1 model file")
-    if len(data) < 5 or data[4] not in _TAG_KINDS:
-        raise CorruptFileError(f"{path}: missing or unknown VXM1 model tag")
-    kind = _TAG_KINDS[data[4]]
-    r = _Reader(data)
-    r.pos = 5
-    try:
-        feature_kind = r.take_str()
-        hyper = json.loads(r.take_str())
-        (n_tensors,) = r.take("<I")
-        tensors = dict(r.take_tensor() for _ in range(n_tensors))
-        if r.pos != len(data):
-            raise ValueError(f"{len(data) - r.pos} bytes after the last tensor")
-        scaler = None
-        if hyper.pop("standardized", False):
-            scaler = Standardizer(mean=tensors.pop("scaler_mean"),
-                                  std=tensors.pop("scaler_std"))
-        model = MODELS[kind].load(hyper, tensors)
-    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise CorruptFileError(f"{path}: garbled {kind} VXM1 payload ({exc!r})") from exc
-    return TrainedModel(kind=kind, model=model, feature_kind=feature_kind,
-                        standardizer=scaler)

@@ -42,7 +42,6 @@ class SvmModel:
     dual_coefs: np.ndarray       # alpha_i * y_i per support vector
     bias: float
     gamma: float
-    C: float
     converged: bool = True
 
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
@@ -192,7 +191,6 @@ def train_svm_smo(rows, labels, C: float = SVM_C, gamma: float = SVM_GAMMA,
         dual_coefs=(alphas * y)[sv],
         bias=b,
         gamma=gamma,
-        C=C,
         converged=converged,
     )
 

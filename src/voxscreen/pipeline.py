@@ -104,7 +104,7 @@ def resolve_recipe(recipe: dict):
     Vector recipes fit a per-fold Standardizer on the train rows only.
     """
     validate_recipe(recipe)
-    kind, feature = recipe["model"], recipe["feature"]
+    kind = recipe["model"]
     spec = MODELS[kind]
     hyper = {k: spec.hyper[k](v) for k, v in recipe.get("hyper", {}).items()}
 
@@ -112,5 +112,5 @@ def resolve_recipe(recipe: dict):
         x = model_input(features, spec.images)
         scaler = None if spec.images else fit_standardizer(x)
         inner = spec.fit(x if scaler is None else scaler.apply(x), labels, seed, hyper)
-        return TrainedModel(kind, inner, feature, scaler)
+        return TrainedModel(kind, inner, scaler)
     return fit

@@ -1,10 +1,8 @@
-"""Feature-to-input conversion: fixed-size gray planes, their PNG export and the
+"""Feature-to-input conversion: fixed-size gray planes and the
 train-fold-only standardizer for vector features."""
 
 from __future__ import annotations
 
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,21 +50,6 @@ def render_image(m) -> np.ndarray:
     grid = scaled.T
     resized = _resize_bilinear(grid, IMAGE_SIZE, IMAGE_SIZE)[::-1, :]
     return np.clip(resized, 0.0, 1.0)
-
-
-def image_to_png(plane: np.ndarray) -> bytes:
-    """8-bit RGB PNG bytes of a gray plane; pixel value = round(255 * float value)."""
-    data = np.repeat(np.round(plane * 255.0).astype(np.uint8)[:, :, None], 3, axis=2)
-    h, w, _ = data.shape
-    raw = b"".join(b"\x00" + data[r].tobytes() for r in range(h))
-
-    def chunk(tag: bytes, body: bytes) -> bytes:
-        return (struct.pack(">I", len(body)) + tag + body
-                + struct.pack(">I", zlib.crc32(tag + body)))
-
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-            + chunk(b"IDAT", zlib.compress(raw)) + chunk(b"IEND", b""))
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ def check_every_score_case():
     for shape, sizes in SCORE_CASES:
         rng = np.random.default_rng(11)
         cfg = CnnConfig()
-        model = CnnModel(init_cnn_params(shape, cfg, rng), cfg, shape)
+        model = CnnModel(init_cnn_params(shape, cfg, rng), cfg)
         for n in sizes:
             planes = rng.uniform(0, 1, (n, *shape[:2]))
             for images in (np.broadcast_to(planes[..., None], (n, *shape)),  # as cv scores
@@ -114,7 +114,7 @@ class TestChunkedScores:
         by about 8 MB an image."""
         cfg = CnnConfig()
         shape = (150, 150, 3)
-        model = CnnModel(init_cnn_params(shape, cfg, np.random.default_rng(12)), cfg, shape)
+        model = CnnModel(init_cnn_params(shape, cfg, np.random.default_rng(12)), cfg)
         planes = np.random.default_rng(13).uniform(0, 1, (32, *shape[:2]))
         images = np.broadcast_to(planes[..., None], (32, *shape))
         chunk = traced_peak(model, images[:4])

@@ -132,6 +132,6 @@ class TestTrainLstm:
                        for lab in labels])
         model = train_lstm(xs, labels, epochs=40, batch=8, seed=4,
                            config=LstmConfig(hidden=6, dense=4))
-        assert model.input_dim == 5
+        assert model.params["wx_f"].shape[0] == 5
         acc = np.mean((model.scores(xs) >= 0.5).astype(int) == labels)
         assert acc >= 0.9

@@ -269,10 +269,21 @@ def _digests(report):
                  for text in (report.to_json(), report.roc_csv()))
 
 
+def _dispatch_note() -> str:
+    """Which numpy CPU dispatch this run uses, against the one the report
+    goldens were recorded under: their float sums follow the dispatched
+    kernels, so another machine class can move them without a regression."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    enabled = [name for name, on in __cpu_features__.items() if on]
+    return ("report goldens were recorded under X86_V4 (AVX-512) dispatch; "
+            f"X86_V4 is {'on' if 'X86_V4' in enabled else 'OFF'} in this run, "
+            f"which enables {' '.join(enabled) or 'no listed features'}")
+
+
 @pytest.mark.parametrize("model,feature", sorted(ALLOWED_PAIRS))
 def test_report_bytes_match_golden(golden_clips, model, feature):
     assert _digests(_golden_report(golden_clips, model, feature)) \
-        == GOLDEN_REPORTS[model, feature]
+        == GOLDEN_REPORTS[model, feature], _dispatch_note()
 
 
 def test_pow_form_gelu_reproduces_old_encoder_golden(golden_clips, monkeypatch):

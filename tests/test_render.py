@@ -1,19 +1,12 @@
 """Feature images and the train-only standardizer."""
 
-import zlib
-
 import numpy as np
 import pytest
 
 from voxscreen.audio_io import synth_clip
 from voxscreen.dsp import mel_spectrogram
 from voxscreen.errors import DegenerateInputError, DimensionMismatchError
-from voxscreen.render import (
-    IMAGE_SIZE,
-    fit_standardizer,
-    image_to_png,
-    render_image,
-)
+from voxscreen.render import fit_standardizer, render_image
 
 
 class TestRenderImage:
@@ -50,27 +43,6 @@ class TestRenderImage:
     def test_single_cell_matrix(self):
         img = render_image(np.array([[2.0]]))
         assert np.allclose(img, 0.5)
-
-
-class TestPngExport:
-    def test_header_and_dimensions(self):
-        img = render_image(np.random.default_rng(4).uniform(0, 1, (20, 30)))
-        png = image_to_png(img)
-        assert png[:8] == b"\x89PNG\r\n\x1a\n"
-        assert png[12:16] == b"IHDR"
-        width = int.from_bytes(png[16:20], "big")
-        height = int.from_bytes(png[20:24], "big")
-        assert (width, height) == (IMAGE_SIZE, IMAGE_SIZE)
-
-    def test_pixel_quantization(self):
-        img = render_image(np.array([[0.0, 1.0]]))
-        png = image_to_png(img)
-        idat_start = png.index(b"IDAT") + 4
-        length = int.from_bytes(png[idat_start - 8: idat_start - 4], "big")
-        raw = zlib.decompress(png[idat_start: idat_start + length])
-        values = np.frombuffer(raw, np.uint8).reshape(150, 451)[:, 1:]
-        expected = np.repeat(np.round(img * 255).astype(np.uint8), 3, axis=1)
-        assert np.array_equal(values, expected)
 
 
 class TestStandardizer:

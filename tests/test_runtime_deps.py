@@ -1,4 +1,5 @@
-"""numpy is the only third-party package that voxscreen loads at run time."""
+"""numpy is the only third-party package that voxscreen loads at run time,
+and every re-exported learner name resolves."""
 
 import os
 import pathlib
@@ -15,6 +16,7 @@ import voxscreen
 names = [m.name for m in pkgutil.walk_packages(voxscreen.__path__, "voxscreen.")]
 for name in names:
     importlib.import_module(name)
+from voxscreen.learners import *  # raises if a name in __all__ does not resolve
 loaded = {name.partition(".")[0] for name in sys.modules}
 print(len(names))
 print(" ".join(sorted(loaded - set(sys.stdlib_module_names) - {"__main__", "numpy", "voxscreen"})))
