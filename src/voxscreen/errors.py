@@ -22,7 +22,7 @@ class UnsupportedEncodingError(VoxscreenError):
 
 
 class EmptyDataError(VoxscreenError):
-    """WAV data chunk holds zero samples."""
+    """WAV data chunk, or a feature matrix to store, holds zero samples."""
 
 
 class DegenerateInputError(VoxscreenError):

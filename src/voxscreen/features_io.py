@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptFileError
+from .errors import CorruptFileError, EmptyDataError
 
 # feature kind -> the VXF1 tag byte its stored matrix carries
 FEATURE_TAGS = {"mfcc_vector": 2, "mfcc_image": 0, "melspec_image": 1, "encoder": 3}
@@ -21,6 +21,8 @@ def write_feature(path: str, matrix: np.ndarray, feature_kind: str) -> None:
     """Dump a 2-D float matrix with its feature kind's tag byte."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     rows, cols = matrix.shape
+    if matrix.size == 0:  # read_feature refuses it; leave no file behind
+        raise EmptyDataError(f"{path}: cannot store an empty {rows}x{cols} VXF1 matrix")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(FEATURE_MAGIC, rows, cols, FEATURE_TAGS[feature_kind]))
         fh.write(matrix.astype("<f4").tobytes())

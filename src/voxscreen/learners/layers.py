@@ -14,8 +14,10 @@ GELU_C = np.sqrt(2.0 / np.pi)
 
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))  # at most 1, so neither form overflows
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.exp(-np.abs(x))  # at most 1, so nothing overflows
+    out = np.maximum(e, x >= 0)  # 1 where x >= 0, else e; nan stays nan
+    out /= 1.0 + e
+    return out
 
 
 def sigmoid_grad(y):

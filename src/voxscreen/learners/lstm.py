@@ -69,80 +69,75 @@ def init_lstm_params(input_dim: int, cfg: LstmConfig, rng) -> dict[str, np.ndarr
     return params
 
 
-def _run_direction(xs, wx, wh, b, hidden):
-    """One direction over xs [n, T, D]; returns final h and step caches."""
-    n, T, _ = xs.shape
-    h = np.zeros((n, hidden))
-    c = np.zeros((n, hidden))
-    caches = []
-    for t in range(T):
-        x_t = xs[:, t, :]
-        z = x_t @ wx + h @ wh + b
-        zi, zf, zg, zo = np.split(z, 4, axis=1)
-        i, f, o = sigmoid(zi), sigmoid(zf), sigmoid(zo)
-        g = np.tanh(zg)
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        caches.append((x_t, h, c, i, f, g, o, tc))
-        h, c = h_new, c_new
-    return h, caches
-
-
-def _direction_backward(caches, wx, wh, dh_last, hidden):
-    """BPTT for one direction given the gradient at its final h."""
-    gw_x = np.zeros_like(wx)
-    gw_h = np.zeros_like(wh)
-    gb = np.zeros(4 * hidden)
-    dh = dh_last
-    dc = np.zeros_like(dh_last)
-    for x_t, h_prev, c_prev, i, f, g, o, tc in reversed(caches):
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dc = dc * f
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ], axis=1)
-        gw_x += x_t.T @ dz
-        gw_h += h_prev.T @ dz
-        gb += dz.sum(axis=0)
-        dh = dz @ wh.T
-    return gw_x, gw_h, gb
-
-
 def lstm_forward(params, xs, cfg: LstmConfig, training: bool, rng):
-    """Scores in (0, 1) for xs [n, T, D], plus the backward cache."""
+    """Scores in (0, 1) for xs [n, T, D], plus the backward cache.
+
+    Both directions run as one recurrence over [2, n, .] blocks: index 0
+    reads xs forwards, index 1 backwards. A stacked matmul makes the same
+    2-D product per direction as two separate calls would, so every step
+    matches the per-direction form bit for bit.
+    """
     h = cfg.hidden
-    hf, caches_f = _run_direction(xs, params["wx_f"], params["wh_f"], params["b_f"], h)
-    hb, caches_b = _run_direction(xs[:, ::-1, :], params["wx_b"], params["wh_b"],
-                                  params["b_b"], h)
-    merged = hf + hb
+    wx = np.stack([params["wx_f"], params["wx_b"]])
+    wh = np.stack([params["wh_f"], params["wh_b"]])
+    b = np.stack([params["b_f"], params["b_b"]])[:, None, :]
+    seqs = np.stack([xs, xs[:, ::-1, :]])
+    state = np.zeros((2, len(xs), h))
+    c = np.zeros_like(state)
+    steps = []
+    for t in range(xs.shape[1]):
+        x_t = seqs[:, :, t, :]
+        z = x_t @ wx + state @ wh
+        z += b
+        i_f = sigmoid(z[..., :2 * h])  # gates i and f; then g, then o
+        g = np.tanh(z[..., 2 * h:3 * h])
+        o = sigmoid(z[..., 3 * h:])
+        c_new = i_f[..., h:] * c + i_f[..., :h] * g
+        tc = np.tanh(c_new)
+        steps.append((x_t, state, c, i_f, g, o, tc))
+        state, c = o * tc, c_new
+    merged = state[0] + state[1]
     dropped, mask = dropout_forward(merged, cfg.dropout, rng, training)
     a1 = dense_forward(dropped, params["w1"], params["b1"])
     r1 = relu(a1)
     z2 = dense_forward(r1, params["w2"], params["b2"])
     p = sigmoid(z2[:, 0])
-    cache = (caches_f, caches_b, mask, dropped, a1, r1, z2)
+    cache = (steps, wh, mask, dropped, a1, r1, z2)
     return p, cache
 
 
 def lstm_backward(params, cache, dz2, cfg: LstmConfig):
-    caches_f, caches_b, mask, dropped, a1, r1, z2 = cache
+    steps, wh, mask, dropped, a1, r1, z2 = cache
     grads = {}
     dr1, grads["w2"], grads["b2"] = dense_backward(r1, params["w2"], dz2)
     da1 = dr1 * relu_grad(a1)
     ddropped, grads["w1"], grads["b1"] = dense_backward(dropped, params["w1"], da1)
-    dmerged = dropout_backward(mask, ddropped)
-    grads["wx_f"], grads["wh_f"], grads["b_f"] = _direction_backward(
-        caches_f, params["wx_f"], params["wh_f"], dmerged, cfg.hidden)
-    grads["wx_b"], grads["wh_b"], grads["b_b"] = _direction_backward(
-        caches_b, params["wx_b"], params["wh_b"], dmerged, cfg.hidden)
+    h = cfg.hidden
+    dh = dropout_backward(mask, ddropped)  # both directions' final h feed the sum
+    dc = np.zeros((2, len(dz2), h))
+    dz = np.empty((2, len(dz2), 4 * h))
+    gw_x = np.zeros((2,) + params["wx_f"].shape)
+    gw_h = np.zeros_like(wh)
+    gb = np.zeros((2, 4 * h))
+    for t in reversed(range(len(steps))):
+        x_t, h_prev, c_prev, i_f, g, o, tc = steps[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        # keep each product's left-to-right order: regrouping moves last bits
+        dz[..., :h] = dc * g
+        dz[..., h:2 * h] = dc * c_prev
+        dz[..., :2 * h] *= i_f
+        dz[..., :2 * h] *= 1.0 - i_f
+        dz[..., 2 * h:3 * h] = dc * i_f[..., :h] * (1.0 - g * g)
+        dz[..., 3 * h:] = dh * tc * o * (1.0 - o)
+        dc = dc * i_f[..., h:]
+        gw_x += x_t.transpose(0, 2, 1) @ dz
+        gw_h += h_prev.transpose(0, 2, 1) @ dz
+        gb += dz.sum(axis=1)
+        if t:  # the gradient at the initial (zero) state is never read
+            dh = dz @ wh.transpose(0, 2, 1)
+    grads["wx_f"], grads["wx_b"] = gw_x
+    grads["wh_f"], grads["wh_b"] = gw_h
+    grads["b_f"], grads["b_b"] = gb
     return grads
 
 

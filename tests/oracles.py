@@ -167,6 +167,65 @@ def sigmoid(x):
     return out
 
 
+
+def sigmoid_where(x):
+    """The branch-free logistic function it replaced: both sides computed
+    everywhere, np.where picks one per entry."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# --- LSTM, one direction at a time ---
+
+def lstm_run_direction(xs, wx, wh, b, hidden):
+    """One LSTM direction over xs [n, T, D] as first written: np.split for
+    the gates, one sigmoid call per gate. Returns final h and step caches."""
+    n, T, _ = xs.shape
+    h = np.zeros((n, hidden))
+    c = np.zeros((n, hidden))
+    caches = []
+    for t in range(T):
+        x_t = xs[:, t, :]
+        z = x_t @ wx + h @ wh + b
+        zi, zf, zg, zo = np.split(z, 4, axis=1)
+        i, f, o = sigmoid_where(zi), sigmoid_where(zf), sigmoid_where(zo)
+        g = np.tanh(zg)
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        h_new = o * tc
+        caches.append((x_t, h, c, i, f, g, o, tc))
+        h, c = h_new, c_new
+    return h, caches
+
+
+def lstm_direction_backward(caches, wx, wh, dh_last, hidden):
+    """BPTT for one direction given the gradient at its final h, as first
+    written: dz by np.concatenate, dh computed at every step."""
+    gw_x = np.zeros_like(wx)
+    gw_h = np.zeros_like(wh)
+    gb = np.zeros(4 * hidden)
+    dh = dh_last
+    dc = np.zeros_like(dh_last)
+    for x_t, h_prev, c_prev, i, f, g, o, tc in reversed(caches):
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        di = dc * g
+        dg = dc * i
+        df = dc * c_prev
+        dc = dc * f
+        dz = np.concatenate([
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            dg * (1.0 - g * g),
+            do * o * (1.0 - o),
+        ], axis=1)
+        gw_x += x_t.T @ dz
+        gw_h += h_prev.T @ dz
+        gb += dz.sum(axis=0)
+        dh = dz @ wh.T
+    return gw_x, gw_h, gb
+
 # --- 2x2 max pooling ---
 
 def maxpool2_forward(x):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from voxscreen.audio_io import AudioClip, load_wav, save_wav
-from voxscreen.errors import CorruptFileError, VoxscreenError
+from voxscreen.errors import CorruptFileError, EmptyDataError, VoxscreenError
 from voxscreen.features_io import FEATURE_TAGS, read_feature, write_feature
 
 
@@ -70,6 +70,20 @@ def test_vxf1_empty_matrix_raises_corrupt_file(rows, cols, tmp_path):
     path.write_bytes(struct.pack("<4sIIB", b"VXF1", rows, cols, FEATURE_TAGS["encoder"]))
     with pytest.raises(CorruptFileError, match="empty"):
         read_feature(str(path))
+
+
+@pytest.mark.parametrize("matrix", [np.array([]), np.zeros((0, 40)), np.zeros((3, 0))],
+                         ids=["1x0", "0x40", "3x0"])
+def test_vxf1_write_of_empty_matrix_raises_and_leaves_no_file(matrix, tmp_path):
+    """write_feature refuses what read_feature would, before opening the
+    path: no new file, and an existing one keeps its bytes."""
+    fresh, kept = tmp_path / "fresh.vxf", tmp_path / "kept.vxf"
+    write_feature(str(kept), np.ones((2, 3)), "encoder")
+    before = kept.read_bytes()
+    for path in (fresh, kept):
+        with pytest.raises(EmptyDataError, match="empty"):
+            write_feature(str(path), matrix, "mfcc_vector")
+    assert not fresh.exists() and kept.read_bytes() == before
 
 
 def test_wav_damage_decodes_or_raises_typed_error():

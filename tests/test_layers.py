@@ -55,12 +55,23 @@ class TestActivations:
         assert y[1] == 0.5
 
     def test_sigmoid_bytes_match_masked_form(self):
+        """Equal to the masked and the np.where forms (tests/oracles.py) on
+        edges, wide normals, the LSTM's stacked [2, 32, 256] gate block and a
+        0-d input; nan bytes equal the np.where form's."""
         edges = [0.0, np.inf, 5e-324, 1e-300, 710.0, 745.0]
         edges = np.array(edges + [-v for v in edges] + [-746.0])
         rng = np.random.default_rng(21)
-        for x in [edges] + [rng.normal(0.0, s, 200_000) for s in (0.01, 1, 10, 100, 1000)]:
-            assert sigmoid(x).tobytes() == oracles.sigmoid(x).tobytes()
-        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+        cases = [edges] + [rng.normal(0.0, s, 200_000) for s in (0.01, 1, 10, 100, 1000)]
+        cases += [rng.normal(0.0, 3.0, (2, 32, 256)), np.asarray(-0.75), np.asarray(2.5)]
+        for x in cases:
+            got = sigmoid(x)
+            for oracle in (oracles.sigmoid, oracles.sigmoid_where):
+                want = oracle(x)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        nans = np.array([np.nan, -np.nan])
+        assert np.isnan(sigmoid(nans)).all()
+        assert sigmoid(nans).tobytes() == oracles.sigmoid_where(nans).tobytes()
 
     def test_relu_grad(self):
         x = RNG.normal(size=13) + 0.05  # keep away from the kink

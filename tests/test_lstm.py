@@ -1,12 +1,19 @@
-"""Bidirectional LSTM: output contract, BPTT gradient check, training."""
+"""Bidirectional LSTM: output contract, BPTT gradient check, training,
+and the stacked recurrence's byte equality with one direction at a time."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import oracles
 from gradcheck import max_relative_error, numeric_grad
+from test_layers import ONE_BLAS_THREAD, REDUCED_DISPATCH, run_check
 
 from voxscreen.errors import EmptySequenceError, SingleClassDataError
-from voxscreen.learners import train_lstm
+from voxscreen.learners import lstm, train_lstm
+from voxscreen.learners.layers import (dense_backward, dense_forward, dropout_backward,
+                                       dropout_forward, relu, relu_grad, sigmoid)
 from voxscreen.learners.lstm import (
     LstmConfig,
     init_lstm_params,
@@ -135,3 +142,104 @@ class TestTrainLstm:
         assert model.params["wx_f"].shape[0] == 5
         acc = np.mean((model.scores(xs) >= 0.5).astype(int) == labels)
         assert acc >= 0.9
+
+
+def per_direction_forward(params, xs, cfg, training, rng):
+    """lstm_forward as first written: each direction by itself
+    (tests/oracles.py), the same dense head."""
+    h = cfg.hidden
+    hf, caches_f = oracles.lstm_run_direction(xs, params["wx_f"], params["wh_f"],
+                                              params["b_f"], h)
+    hb, caches_b = oracles.lstm_run_direction(xs[:, ::-1, :], params["wx_b"], params["wh_b"],
+                                              params["b_b"], h)
+    dropped, mask = dropout_forward(hf + hb, cfg.dropout, rng, training)
+    a1 = dense_forward(dropped, params["w1"], params["b1"])
+    r1 = relu(a1)
+    z2 = dense_forward(r1, params["w2"], params["b2"])
+    return sigmoid(z2[:, 0]), ((hf, caches_f), (hb, caches_b), mask, dropped, a1, r1, z2)
+
+
+def per_direction_backward(params, cache, dz2, cfg):
+    """lstm_backward as first written, for per_direction_forward's cache."""
+    (_, caches_f), (_, caches_b), mask, dropped, a1, r1, z2 = cache
+    grads = {}
+    dr1, grads["w2"], grads["b2"] = dense_backward(r1, params["w2"], dz2)
+    ddropped, grads["w1"], grads["b1"] = dense_backward(dropped, params["w1"],
+                                                        dr1 * relu_grad(a1))
+    dmerged = dropout_backward(mask, ddropped)
+    for d, caches in (("f", caches_f), ("b", caches_b)):
+        grads[f"wx_{d}"], grads[f"wh_{d}"], grads[f"b_{d}"] = oracles.lstm_direction_backward(
+            caches, params[f"wx_{d}"], params[f"wh_{d}"], dmerged, cfg.hidden)
+    return grads
+
+
+def train_per_direction(*args, **kwargs):
+    """train_lstm with the per-direction forward and backward swapped in."""
+    saved = lstm.lstm_forward, lstm.lstm_backward
+    lstm.lstm_forward, lstm.lstm_backward = per_direction_forward, per_direction_backward
+    try:
+        return train_lstm(*args, **kwargs)
+    finally:
+        lstm.lstm_forward, lstm.lstm_backward = saved
+
+
+# (n, T, D, hidden): one row and a full batch, one step and the 40 MFCC
+# coefficients the cv recipe feeds, scalar and wider inputs
+STACK_CASES = [(n, T, D, h) for n in (1, 32) for T in (1, 40) for D in (1, 3, 13)
+               for h in (3, 64)]
+
+
+def assert_same_bytes(got, want, label):
+    assert got.shape == want.shape and got.dtype == want.dtype, label
+    assert got.tobytes() == want.tobytes(), label
+
+
+def check_every_stacked_case():
+    """The stacked recurrence's final h of each direction, scores and every
+    gradient (both losses, dropout on), and parameters trained for a few
+    epochs, equal the per-direction form byte for byte."""
+    for n, T, D, h in STACK_CASES:
+        rng = np.random.default_rng(12)
+        xs = rng.normal(size=(n, T, D))
+        ys = rng.integers(0, 2, n).astype(np.float64)
+        for loss in ("mae", "bce"):
+            cfg = LstmConfig(hidden=h, dense=4, loss=loss)
+            params = init_lstm_params(D, cfg, rng)
+            label = (n, T, D, h, loss)
+            _, (steps, *_) = lstm_forward(params, xs, cfg, training=False, rng=None)
+            _, ((hf, _), (hb, _), *_) = per_direction_forward(params, xs, cfg, False, None)
+            final = steps[-1][-2] * steps[-1][-1]  # o * tanh(c) at the last step
+            assert_same_bytes(final[0], hf, label)
+            assert_same_bytes(final[1], hb, label)
+            _, cache, dz2 = lstm_loss_grad(params, xs, ys, cfg, True, np.random.default_rng(1))
+            grads = lstm_backward(params, cache, dz2, cfg)
+            _, cache_old = per_direction_forward(params, xs, cfg, True,
+                                                 np.random.default_rng(1))
+            assert_same_bytes(cache[-1], cache_old[-1], label)
+            want = per_direction_backward(params, cache_old, dz2, cfg)
+            assert grads.keys() == want.keys()
+            for name in want:
+                assert_same_bytes(grads[name], want[name], label + (name,))
+    for n, T, D, base, epochs, batch in ((50, 40, 1, LstmConfig(), 3, 32),
+                                         (20, 9, 3, LstmConfig(hidden=3, dense=4), 4, 8)):
+        rng = np.random.default_rng(13)
+        xs, ys = rng.normal(size=(n, T, D)), np.arange(n) % 2
+        for loss in ("mae", "bce"):
+            cfg = dataclasses.replace(base, loss=loss)
+            got = train_lstm(xs, ys, epochs=epochs, batch=batch, seed=5, config=cfg)
+            want = train_per_direction(xs, ys, epochs=epochs, batch=batch, seed=5, config=cfg)
+            for name in want.params:
+                assert_same_bytes(got.params[name], want.params[name], (n, T, D, loss, name))
+
+
+class TestStackedMatchesPerDirection:
+    """Both directions as one [2, n, .] recurrence against one direction at
+    a time (tests/oracles.py)."""
+
+    def test_bytes_equal(self):
+        check_every_stacked_case()
+
+    @pytest.mark.parametrize("extra_env", [ONE_BLAS_THREAD, REDUCED_DISPATCH],
+                             ids=["one_blas_thread", "reduced_dispatch"])
+    def test_bytes_equal_in_subprocess(self, extra_env):
+        run_check("import test_lstm; test_lstm.check_every_stacked_case()", extra_env)
