@@ -42,10 +42,6 @@ class AudioClip:
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def _require(cond: bool, exc: type[Exception], msg: str) -> None:
     if not cond:
@@ -57,8 +53,9 @@ def load_wav(data: bytes) -> AudioClip:
 
     Accepts PCM 16-bit (format 1) and IEEE float 32-bit (format 3), 1 or
     2 channels. Stereo is mixed down by channel average; 16-bit sample v
-    maps to v/32768 so the integer minimum lands exactly on -1. Unknown
-    chunks (LIST, INFO, ...) are skipped; fmt must precede data.
+    maps to v/32768 so the integer minimum lands exactly on -1. Float samples
+    are clamped to [-1, 1], and a NaN sample is refused. Unknown chunks
+    (LIST, INFO, ...) are skipped; fmt must precede data.
     """
     _require(len(data) >= 12, MalformedHeaderError, "file shorter than RIFF header")
     _require(data[0:4] == b"RIFF", MalformedHeaderError, "missing RIFF magic")
@@ -108,6 +105,8 @@ def _decode_data(raw: bytes, fmt: tuple[int, int, int, int]) -> AudioClip:
         x = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     else:
         x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        # np.clip below keeps NaN, which would reach every feature and score
+        _require(not np.isnan(x).any(), UnsupportedEncodingError, "float data holds NaN samples")
     if channels == 2:
         x = x.reshape(-1, 2).mean(axis=1)
     # float WAVs may legally exceed full scale; clamp to the clip invariant

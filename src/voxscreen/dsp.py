@@ -15,7 +15,7 @@ import numpy as np
 from .audio_io import AudioClip
 from .errors import DegenerateInputError, DomainError, InfeasibleBankError
 
-LOG_FLOOR_DEFAULT = 1e-10
+LOG_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,10 @@ class MelParams:
 
     n_mels: int = 64
     n_mfcc: int = 40
-    log_floor: float = LOG_FLOOR_DEFAULT
 
     def __post_init__(self):
         if not 0 < self.n_mfcc <= self.n_mels:
             raise ValueError("need 0 < n_mfcc <= n_mels")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
 
 
 def frame_count(n_samples: int, p: FrameParams) -> int:
@@ -142,10 +139,10 @@ def mel_filterbank(sample_rate: int, p: FrameParams = FrameParams(),
 
 def mel_spectrogram(clip: AudioClip, p: FrameParams = FrameParams(),
                     m: MelParams = MelParams()) -> np.ndarray:
-    """Natural-log mel power per frame, [n_frames, n_mels], floored at m.log_floor."""
+    """Natural-log mel power per frame, [n_frames, n_mels], floored at LOG_FLOOR."""
     power = stft_power(clip, p)
     bank = mel_filterbank(clip.sample_rate, p, m)
-    return np.log(np.maximum(power @ bank.T, m.log_floor))
+    return np.log(np.maximum(power @ bank.T, LOG_FLOOR))
 
 
 @functools.lru_cache(maxsize=8)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,15 +24,12 @@ ENCODER_CHANNELS = 512
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Layer geometry: strides, kernel widths and channel count."""
+    """Layer geometry: the channel count is the one setting; every config
+    shares the fixed strides and kernel widths."""
 
-    strides: tuple[int, ...] = ENCODER_STRIDES
-    kernels: tuple[int, ...] = ENCODER_KERNELS
+    strides: ClassVar[tuple[int, ...]] = ENCODER_STRIDES
+    kernels: ClassVar[tuple[int, ...]] = ENCODER_KERNELS
     channels: int = ENCODER_CHANNELS
-
-    def __post_init__(self):
-        if len(self.strides) != len(self.kernels):
-            raise ValueError("strides and kernels must pair up")
 
     @property
     def stride_product(self) -> int:

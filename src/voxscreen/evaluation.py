@@ -26,7 +26,6 @@ DEFAULT_FOLDS = 10
 class FoldPlan:
     k: int
     assignments: np.ndarray  # example index -> fold index
-    seed: int
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -53,7 +52,7 @@ def stratified_folds(labels, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldPlan:
                 f"class {cls} has {len(members)} examples, fewer than k={k}")
         shuffled = rng.permutation(members)
         assignments[shuffled] = np.arange(len(shuffled)) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 @dataclass(frozen=True)
@@ -68,14 +67,13 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def confusion_at_threshold(scores, labels,
-                           threshold: float = DEFAULT_THRESHOLD) -> ConfusionCounts:
-    """Predict positive iff score >= threshold, then count outcomes."""
+def confusion_at_threshold(scores, labels) -> ConfusionCounts:
+    """Predict positive iff score >= DEFAULT_THRESHOLD, then count outcomes."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if len(scores) != len(labels):
         raise LengthMismatchError(f"{len(scores)} scores vs {len(labels)} labels")
-    pred = scores >= threshold
+    pred = scores >= DEFAULT_THRESHOLD
     pos = labels == 1
     return ConfusionCounts(
         tp=int(np.sum(pred & pos)),
@@ -110,7 +108,9 @@ class RocCurve:
 
 
 def roc_auc(scores, labels) -> RocCurve:
-    """Threshold sweep over the distinct scores, descending.
+    """Threshold sweep over the distinct scores, descending: one point per
+    run of equal sorted scores (Fawcett 2006, Algorithm 2), named by the
+    run's first score. A NaN equals nothing, so each one is its own run.
 
     The trapezoidal area equals the pairwise estimate
     P(score+ > score-) + 0.5 P(tie) exactly.
@@ -125,25 +125,14 @@ def roc_auc(scores, labels) -> RocCurve:
         raise SingleClassDataError("ROC needs both classes present")
 
     order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = (labels[order] == 1).astype(np.int64)
-
-    points = [(0.0, 0.0)]
-    thresholds = [np.inf]
-    tp = fp = 0
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j < len(sorted_scores) and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_pos[i:j].sum())
-        fp += (j - i) - int(sorted_pos[i:j].sum())
-        points.append((fp / n_neg, tp / n_pos))
-        thresholds.append(sorted_scores[i])
-        i = j
-    pts = np.asarray(points)
+    s = scores[order]
+    starts = np.flatnonzero(np.append(True, s[1:] != s[:-1]))
+    ends = np.append(starts[1:], len(s))
+    tp = np.cumsum(labels[order] == 1)[ends - 1]
+    fp = ends - tp
+    pts = np.vstack([(0.0, 0.0), np.column_stack([fp / n_neg, tp / n_pos])])
     auc = float(np.trapezoid(pts[:, 1], pts[:, 0]))
-    return RocCurve(points=pts, thresholds=np.asarray(thresholds), auc=auc)
+    return RocCurve(points=pts, thresholds=np.append(np.inf, s[starts]), auc=auc)
 
 
 @dataclass

@@ -46,4 +46,6 @@ def read_feature(path: str) -> tuple[np.ndarray, str]:
             f"{path}: {len(data)} bytes, but a {rows}x{cols} VXF1 matrix needs "
             f"{_HEADER.size + 4 * rows * cols}")
     matrix = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
+    if not np.isfinite(matrix).all():  # no valid clip yields one; it would poison every score
+        raise CorruptFileError(f"{path}: VXF1 matrix holds non-finite values")
     return matrix.astype(np.float64).reshape(rows, cols), kind

@@ -5,7 +5,7 @@ from .cnn import CnnConfig, CnnModel, train_cnn
 from .logreg import LogRegModel, train_logreg
 from .lstm import LstmConfig, LstmModel, train_lstm
 from .models import TrainedModel
-from .svm import SvmModel, kkt_violations, rbf_kernel, smo_solve, train_svm_smo
+from .svm import SvmModel, kkt_violations, smo_solve, train_svm_smo
 
 __all__ = [
     "Adam",
@@ -13,5 +13,5 @@ __all__ = [
     "LogRegModel", "train_logreg",
     "LstmConfig", "LstmModel", "train_lstm",
     "TrainedModel",
-    "SvmModel", "kkt_violations", "rbf_kernel", "smo_solve", "train_svm_smo",
+    "SvmModel", "kkt_violations", "smo_solve", "train_svm_smo",
 ]

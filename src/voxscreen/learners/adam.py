@@ -6,16 +6,16 @@ import numpy as np
 
 from ..errors import NonFiniteGradientError, ShapeMismatchError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    """theta <- theta - lr * m_hat / (sqrt(v_hat) + eps), the usual recipe."""
+    """theta <- theta - lr * m_hat / (sqrt(v_hat) + EPS), the usual recipe."""
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -24,8 +24,8 @@ class Adam:
              grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """One update; returns new parameters, accumulators advance in place."""
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         out = {}
         for name, theta in params.items():
             g = grads[name]
@@ -39,8 +39,8 @@ class Adam:
                 m = np.zeros_like(theta)
                 self.v[name] = np.zeros_like(theta)
             v = self.v[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * g * g
             self.m[name], self.v[name] = m, v
-            out[name] = theta - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            out[name] = theta - self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         return out

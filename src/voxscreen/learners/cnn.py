@@ -40,7 +40,6 @@ class CnnConfig:
     kernel: int = 3
     dropout: float = 0.25
     lr: float = 1e-3
-    n_classes: int = 2
 
 
 @dataclass
@@ -73,8 +72,8 @@ def init_cnn_params(input_shape, cfg: CnnConfig, rng) -> dict[str, np.ndarray]:
     h1, w1 = (h - k + 1) // 2, (w - k + 1) // 2
     h2, w2 = (h1 - k + 1) // 2, (w1 - k + 1) // 2
     flat = h2 * w2 * cfg.filters2
-    p["wd"] = glorot_uniform(rng, (flat, cfg.n_classes), flat, cfg.n_classes)
-    p["bd"] = np.zeros(cfg.n_classes)
+    p["wd"] = glorot_uniform(rng, (flat, 2), flat, 2)
+    p["bd"] = np.zeros(2)
     return p
 
 
@@ -131,7 +130,7 @@ def train_cnn(images, labels, epochs: int = CNN_EPOCHS, batch: int = CNN_BATCH,
     rng = np.random.default_rng(seed)
     params = init_cnn_params(images.shape[1:], config, rng)
     params = {k: v.astype(dtype) for k, v in params.items()}
-    onehot_all = np.eye(config.n_classes, dtype=dtype)[labels]
+    onehot_all = np.eye(2, dtype=dtype)[labels]
     opt = Adam(lr=config.lr)
 
     n = len(images)

@@ -105,16 +105,11 @@ class TrainedModel:
     model: object
     standardizer: Standardizer | None = None
 
-    @property
-    def spec(self) -> ModelSpec:
-        if self.kind not in MODELS:
-            raise FeatureKindMismatchError(f"unknown model kind {self.kind!r}")
-        return MODELS[self.kind]
-
     def score_batch(self, features) -> np.ndarray:
         """Scores in [0, 1] for a stacked feature array."""
-        x = model_input(features, self.spec.images)
+        spec = MODELS[self.kind]
+        x = model_input(features, spec.images)
         if self.standardizer is not None:
             x = self.standardizer.apply(x)
-        return self.spec.score(self.model, x)
+        return spec.score(self.model, x)
 

@@ -18,18 +18,6 @@ SVM_MAX_PASSES = 200
 _STEP_EPS = 1e-12
 
 
-def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-gamma ||x - y||^2), in (0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"kernel arguments {x.shape} vs {y.shape}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    d = x - y
-    return float(np.exp(-gamma * np.dot(d, d)))
-
-
 def rbf_gram(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """Kernel matrix K[i, j] = exp(-gamma ||a_i - b_j||^2)."""
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * a @ b.T

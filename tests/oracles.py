@@ -137,6 +137,34 @@ def pairwise_auc(scores, labels) -> float:
     return wins / (len(pos) * len(neg))
 
 
+def roc_loop(scores, labels):
+    """(points, thresholds, auc) of evaluation.roc_auc in the loop form it
+    replaced: walk the descending scores, one point per tie group. Never ends
+    on a NaN score, which equals nothing, itself included."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_pos = (labels[order] == 1).astype(np.int64)
+    points = [(0.0, 0.0)]
+    thresholds = [np.inf]
+    tp = fp = 0
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j < len(sorted_scores) and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        tp += int(sorted_pos[i:j].sum())
+        fp += (j - i) - int(sorted_pos[i:j].sum())
+        points.append((fp / n_neg, tp / n_pos))
+        thresholds.append(sorted_scores[i])
+        i = j
+    pts = np.asarray(points)
+    return pts, np.asarray(thresholds), float(np.trapezoid(pts[:, 1], pts[:, 0]))
+
+
 def conv_stack_length(n: int, kernels, strides) -> int:
     """Layer-by-layer valid-convolution length recursion."""
     for k, s in zip(kernels, strides):

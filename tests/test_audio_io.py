@@ -35,6 +35,16 @@ def wav_bytes(samples_i16, rate=8000, channels=1):
     ) + body
 
 
+def float_wav_bytes(samples, rate=16000):
+    """Canonical 44-byte-header IEEE float-32 mono file around the samples."""
+    body = np.asarray(samples, dtype="<f4").tobytes()
+    return struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(body), b"WAVE",
+        b"fmt ", 16, 3, 1, rate, rate * 4, 4, 32,
+        b"data", len(body)) + body
+
+
 class TestLoadWav:
     def test_integer_minimum_maps_to_minus_one(self):
         clip = load_wav(wav_bytes([-0x8000]))
@@ -53,13 +63,12 @@ class TestLoadWav:
         assert load_wav(wav_bytes([0], rate=44100)).sample_rate == 44100
 
     def test_float32_payload(self):
-        body = struct.pack("<2f", 0.5, -0.25)
-        data = struct.pack(
-            "<4sI4s4sIHHIIHH4sI",
-            b"RIFF", 36 + len(body), b"WAVE",
-            b"fmt ", 16, 3, 1, 16000, 16000 * 4, 4, 32,
-            b"data", len(body)) + body
-        assert load_wav(data).samples.tolist() == [0.5, -0.25]
+        assert load_wav(float_wav_bytes([0.5, -0.25])).samples.tolist() == [0.5, -0.25]
+
+    def test_float32_nan_sample_refused(self):
+        """np.clip keeps NaN; one NaN sample would reach every feature."""
+        with pytest.raises(UnsupportedEncodingError, match="NaN"):
+            load_wav(float_wav_bytes([0.5, np.nan, -0.25]))
 
     def test_unknown_chunks_are_skipped(self):
         base = wav_bytes([100, -100])

@@ -1,12 +1,18 @@
 """Command surface: synth, extract, cv, gamma-sweep, report."""
 
+import contextlib
+import io
 import json
+import pathlib
 import shutil
 
 import numpy as np
 import pytest
 
 import voxscreen.cli
+from test_audio_io import float_wav_bytes
+from test_layers import run_check
+from voxscreen.audio_io import load_wav
 from voxscreen.cli import build_parser, main
 from voxscreen.errors import ConfigError, CorruptFileError
 from voxscreen.features_io import read_feature, write_feature
@@ -449,3 +455,28 @@ def test_bad_value_is_an_error_line_not_a_traceback(argv, corpus, tmp_path, caps
     args = build_parser().parse_args([command, *flags])
     with pytest.raises(CorruptFileError if corrupt else ConfigError):
         args.fn(args)
+
+
+def test_nan_sample_clip_fails_instead_of_hanging(tmp_path, capsys):
+    """A float WAV with one NaN sample once reached roc_auc, whose loop never
+    ended on a NaN score. cv runs in a fresh interpreter with a time limit, so
+    a hang fails the suite instead of stalling it."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "4", "4", "--seed", "5", "--duration", "0.6",
+                 "--out", str(corpus)]) == 0
+    wav = sorted(corpus.glob("*.wav"))[0]
+    samples = load_wav(wav.read_bytes()).samples.copy()
+    samples[100] = np.nan
+    wav.write_bytes(float_wav_bytes(samples))
+    run_check(f"import test_cli; test_cli.check_cv_refuses({str(corpus)!r})", {}, timeout=60)
+    capsys.readouterr()
+    assert _extract(corpus, tmp_path / "feats") == 1
+    assert f"FAILED {wav.name}: float data holds NaN samples" in capsys.readouterr().err
+
+
+def check_cv_refuses(corpus):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = _cv(pathlib.Path(corpus), pathlib.Path(corpus) / "out")
+    assert code == 1 and err.getvalue().startswith("error:"), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from test_layers import run_check
 
 from voxscreen.errors import (
     EmptyEvaluationError,
@@ -83,7 +84,7 @@ class TestConfusion:
         assert (c.tp, c.fp, c.tn, c.fn) == (2, 0, 2, 0)
 
     def test_threshold_is_inclusive(self):
-        c = confusion_at_threshold([0.5, 0.5], [1, 0], threshold=0.5)
+        c = confusion_at_threshold([0.5, 0.5], [1, 0])
         assert (c.tp, c.fp, c.tn, c.fn) == (1, 1, 0, 0)
 
     def test_hand_case(self):
@@ -169,6 +170,36 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataError):
             roc_auc([0.5, 0.6], [1, 1])
+
+    def test_bytes_match_loop_form(self):
+        """Points, thresholds and AUC equal the tie-group loop it replaced
+        (tests/oracles.py) byte for byte, with ties, +-0 and +-inf."""
+        rng = np.random.default_rng(10)
+        pool = np.array([0.0, -0.0, np.inf, -np.inf, 0.25, 0.5, 0.75])
+        for trial in range(2000):
+            n = int(rng.integers(2, 40))
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [0, 1]
+            scores = np.where(rng.uniform(size=n) < trial % 5 / 4,
+                              rng.choice(pool, size=n), rng.uniform(-1, 1, size=n))
+            roc = roc_auc(scores, labels)
+            points, thresholds, auc = oracles.roc_loop(scores, labels)
+            assert roc.points.tobytes() == points.tobytes(), scores
+            assert roc.thresholds.tobytes() == thresholds.tobytes(), scores
+            assert roc.auc == auc, scores
+
+    def test_nan_score_returns(self):
+        """The loop form never ended on a NaN score. The check runs in a fresh
+        interpreter with a time limit, so a loop brought back fails the suite
+        instead of hanging it."""
+        run_check("import test_evaluation; test_evaluation.check_nan_score()", {}, timeout=60)
+
+
+def check_nan_score():
+    roc = roc_auc([0.2, np.nan, 0.7], [0, 1, 1])
+    assert roc.points.tolist() == [[0, 0], [0, 0.5], [1, 0.5], [1, 1]]
+    assert roc.thresholds[:3].tolist() == [np.inf, 0.7, 0.2] and np.isnan(roc.thresholds[3])
+    assert roc.auc == 0.5
 
 
 class _MeanThreshold:

@@ -72,6 +72,16 @@ def test_vxf1_empty_matrix_raises_corrupt_file(rows, cols, tmp_path):
         read_feature(str(path))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_vxf1_non_finite_payload_raises_corrupt_file(value, tmp_path):
+    """No valid clip yields a non-finite feature, and one would poison every
+    score a model gives."""
+    path = tmp_path / "bad.vxf"
+    write_feature(str(path), np.array([[0.5, value, 1.0]]), "mfcc_vector")
+    with pytest.raises(CorruptFileError, match="non-finite"):
+        read_feature(str(path))
+
+
 @pytest.mark.parametrize("matrix", [np.array([]), np.zeros((0, 40)), np.zeros((3, 0))],
                          ids=["1x0", "0x40", "3x0"])
 def test_vxf1_write_of_empty_matrix_raises_and_leaves_no_file(matrix, tmp_path):

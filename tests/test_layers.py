@@ -270,9 +270,10 @@ REDUCED_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
 
 
-def run_check(statement, extra_env):
+def run_check(statement, extra_env, timeout=None):
     """Runs statement in a fresh interpreter in the tests directory with
-    extra_env set; skips if numpy will not start under it."""
+    extra_env set; skips if numpy will not start under it. A run still going
+    after timeout seconds is killed and fails the test."""
     tests_dir = pathlib.Path(__file__).parent
     src_dir = pathlib.Path(voxscreen.__file__).parent.parent
     env = dict(os.environ, **extra_env,
@@ -282,7 +283,7 @@ def run_check(statement, extra_env):
     if probe.returncode != 0:
         pytest.skip(f"numpy refuses {extra_env}: " + probe.stderr.strip().splitlines()[-1])
     run = subprocess.run([sys.executable, "-c", statement], env=env,
-                         capture_output=True, text=True, cwd=tests_dir)
+                         capture_output=True, text=True, cwd=tests_dir, timeout=timeout)
     assert run.returncode == 0, run.stderr
 
 

@@ -1,10 +1,10 @@
-"""RBF kernel and SMO solver: examples, KKT audit, invariances."""
+"""SMO solver: examples, KKT audit, invariances."""
 
 import numpy as np
 import pytest
 
-from voxscreen.errors import DimensionMismatchError, SingleClassDataError
-from voxscreen.learners import kkt_violations, rbf_kernel, smo_solve, train_svm_smo
+from voxscreen.errors import SingleClassDataError
+from voxscreen.learners import kkt_violations, smo_solve, train_svm_smo
 
 
 def blob_pair(rng, n_per, spread=0.5, gap=2.0):
@@ -13,37 +13,6 @@ def blob_pair(rng, n_per, spread=0.5, gap=2.0):
     rows = np.vstack([a, b])
     labels = np.array([0] * n_per + [1] * n_per)
     return rows, labels
-
-
-class TestRbfKernel:
-    def test_self_similarity_is_one(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            x = rng.normal(size=6)
-            assert rbf_kernel(x, x, 0.37) == 1.0
-
-    def test_formula_value(self):
-        # ||x - y||^2 = 1000, gamma = 0.001 -> exp(-1)
-        x = np.zeros(1)
-        y = np.array([np.sqrt(1000.0)])
-        assert abs(rbf_kernel(x, y, 0.001) - np.exp(-1.0)) < 1e-12
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            x, y = rng.normal(size=(2, 5))
-            assert rbf_kernel(x, y, 0.2) == rbf_kernel(y, x, 0.2)
-
-    def test_range(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            x, y = rng.normal(size=(2, 4))
-            k = rbf_kernel(x, y, 1.3)
-            assert 0.0 < k <= 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            rbf_kernel(np.zeros(3), np.zeros(4), 0.1)
 
 
 class TestSmo:
