@@ -102,11 +102,18 @@ def _decode_data(raw: bytes, fmt: tuple[int, int, int, int]) -> AudioClip:
     raw = raw[: n_frames * frame_bytes]
 
     if code == 1:
-        x = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    else:
-        x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        # np.clip below keeps NaN, which would reach every feature and score
-        _require(not np.isnan(x).any(), UnsupportedEncodingError, "float data holds NaN samples")
+        # exact: a sum of two int16 values fits in 17 bits and the scale is a
+        # power of two, so this equals v/32768 averaged over channels, with no
+        # clamp needed
+        pcm = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)
+        x = pcm[:, 0].astype(np.float64)
+        if channels == 2:
+            x += pcm[:, 1]
+        x *= 2.0 ** -15 / channels
+        return AudioClip(samples=x, sample_rate=int(rate))
+    x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    # np.clip below keeps NaN, which would reach every feature and score
+    _require(not np.isnan(x).any(), UnsupportedEncodingError, "float data holds NaN samples")
     if channels == 2:
         x = x.reshape(-1, 2).mean(axis=1)
     # float WAVs may legally exceed full scale; clamp to the clip invariant
@@ -132,8 +139,10 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     """Resample by linear interpolation with end-hold extrapolation.
 
     Identity (bit-identical samples) when target_rate equals the source
-    rate. Output length is round(n * target/source) so duration stays
-    within one sample period of the input.
+    rate; when the source rate is a whole multiple of it, every ratio-th
+    sample, the same bytes interpolation gives. Output length is
+    round(n * target/source) so duration stays within one sample period of
+    the input.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -143,6 +152,11 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     if n_in < 2:
         raise DegenerateInputError("need at least 2 samples to resample")
     n_out = int(round(n_in * target_rate / clip.sample_rate))
+    if clip.sample_rate % target_rate == 0:
+        # every position is a whole sample index, where np.interp returns
+        # that sample itself, -0.0 included
+        return AudioClip(clip.samples[:: clip.sample_rate // target_rate][:n_out].copy(),
+                         target_rate)
     positions = np.arange(n_out) * (clip.sample_rate / target_rate)
     # np.interp holds the edge values for positions beyond the last sample
     out = np.interp(positions, np.arange(n_in), clip.samples)

@@ -101,14 +101,13 @@ def cmd_extract(args) -> int:
         try:
             if owners.setdefault(feat_name, ex.clip_path) != ex.clip_path:
                 raise ConfigError(f"its feature file {feat_name} belongs to {owners[feat_name]}")
-            clip_path = manifest_dir / ex.clip_path
-            sha = hashlib.sha256(clip_path.read_bytes()).hexdigest()
+            data = (manifest_dir / ex.clip_path).read_bytes()
+            sha = hashlib.sha256(data).hexdigest()
             if previous.get(ex.clip_path) == (sha, params_key, feat_name) \
                     and (out_dir / feat_name).exists():
                 skipped += 1
-            else:
-                matrix = extract_matrix(load_clip(clip_path), args.feature,
-                                        frame=frame, mel=mel)
+            else:  # the bytes hashed are the bytes decoded
+                matrix = extract_matrix(load_clip(data), args.feature, frame=frame, mel=mel)
                 write_feature(str(out_dir / feat_name), matrix, args.feature)
         except (VoxscreenError, OSError) as exc:
             failures.append((ex.clip_path, str(exc)))
@@ -155,8 +154,11 @@ def _collect_features(args, examples) -> np.ndarray:
                     f"{vxf} holds {kind!r} features but the run asks for "
                     f"{args.feature!r}; re-extract or point elsewhere")
         else:
-            clip = load_clip(manifest_dir / ex.clip_path)
-            matrix = extract_matrix(clip, args.feature, frame=frame, mel=mel)
+            try:
+                clip = load_clip((manifest_dir / ex.clip_path).read_bytes())
+                matrix = extract_matrix(clip, args.feature, frame=frame, mel=mel)
+            except VoxscreenError as exc:  # the same type, naming the clip it came from
+                raise type(exc)(f"{ex.clip_path}: {exc}") from None
         features.append(feature_from_matrix(matrix, args.feature))
         if features[-1].shape != features[0].shape:
             raise CorruptFileError(

@@ -20,6 +20,8 @@ from .errors import DegenerateInputError
 ENCODER_STRIDES = (5, 2, 2, 2, 2, 2, 2)
 ENCODER_KERNELS = (10, 3, 3, 3, 3, 2, 2)
 ENCODER_CHANNELS = 512
+# output frames per matmul in encoder_apply; bounds its temporaries per layer
+BLOCK_FRAMES = 512
 
 
 @dataclass(frozen=True)
@@ -70,30 +72,31 @@ def seeded_weights(cfg: EncoderConfig) -> tuple[tuple[np.ndarray, np.ndarray], .
     return tuple(layers)
 
 
-def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
-    """Valid 1-D convolution. x: [in_ch, L]; w: [out_ch, in_ch, k]."""
-    out_ch, in_ch, k = w.shape
-    windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)[:, ::stride]
-    # windows: [in_ch, n_out, k] -> [n_out, in_ch * k]
-    cols = windows.transpose(1, 0, 2).reshape(windows.shape[1], in_ch * k)
-    return cols @ w.reshape(out_ch, in_ch * k).T + b
-
-
 def encoder_apply(clip: AudioClip, cfg: EncoderConfig = EncoderConfig()) -> np.ndarray:
-    """Feature sequence [encoder_output_length, channels] for a 16 kHz clip."""
+    """Feature sequence [encoder_output_length, channels] for a 16 kHz clip.
+
+    Activations stay time-major, [frames, channels]. Each layer runs over
+    blocks of BLOCK_FRAMES output frames: gather the block's windows in
+    (in_ch, kernel) column order, one matmul, add the bias, then GELU. So
+    each layer's output is its only whole-layer array."""
     from .learners.layers import gelu
 
     if clip.sample_rate != CANONICAL_RATE:
         raise ValueError(f"encoder expects {CANONICAL_RATE} Hz input")
     n_out = encoder_output_length(len(clip.samples), cfg)
     weights = seeded_weights(cfg)
-    x = clip.samples[None, :]
+    x = clip.samples[:, None]
     last = len(weights) - 1
     for i, ((w, b), s) in enumerate(zip(weights, cfg.strides)):
-        out = _conv1d(x, w, b, s)  # [n_frames, out_ch]
-        x = out.T
-        if i != last:
-            x = gelu(x)
-    features = x.T
-    assert features.shape[0] == n_out
-    return features
+        out_ch, in_ch, k = w.shape
+        wmat = w.reshape(out_ch, in_ch * k).T
+        # [n_frames, in_ch, k]: the window of output frame t starts at input row t * s
+        windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=0)[::s]
+        x = np.empty((len(windows), out_ch))
+        for r in range(0, len(windows), BLOCK_FRAMES):
+            block = windows[r:r + BLOCK_FRAMES]
+            y = block.reshape(len(block), in_ch * k) @ wmat
+            y += b
+            x[r:r + BLOCK_FRAMES] = y if i == last else gelu(y)
+    assert x.shape[0] == n_out
+    return x

@@ -10,8 +10,6 @@ model must read the feature's shape: images for the CNN, vectors otherwise.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .audio_io import AudioClip, CANONICAL_RATE, load_wav, peak_normalize, resample_linear
@@ -32,9 +30,9 @@ ALLOWED_PAIRS = {
 }
 
 
-def load_clip(path) -> AudioClip:
-    """Read a WAV from disk, resample to 16 kHz, peak-normalize."""
-    return peak_normalize(resample_linear(load_wav(Path(path).read_bytes()), CANONICAL_RATE))
+def load_clip(data: bytes) -> AudioClip:
+    """Decode a WAV file's bytes, resample to 16 kHz, peak-normalize."""
+    return peak_normalize(resample_linear(load_wav(data), CANONICAL_RATE))
 
 
 def extract_matrix(clip: AudioClip, feature_kind: str,

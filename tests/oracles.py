@@ -174,6 +174,39 @@ def conv_stack_length(n: int, kernels, strides) -> int:
     return n
 
 
+def encoder_whole_layer(samples, weights, strides, gelu):
+    """encoder_apply as first written: channel-major activations, each layer
+    one whole-layer valid convolution (im2col in (in_ch, k) column order, one
+    matmul, + b), transposed back, then gelu on all but the last layer."""
+    x = np.asarray(samples, dtype=np.float64)[None, :]
+    for i, ((w, b), s) in enumerate(zip(weights, strides)):
+        out_ch, in_ch, k = w.shape
+        windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)[:, ::s]
+        cols = windows.transpose(1, 0, 2).reshape(windows.shape[1], in_ch * k)
+        x = (cols @ w.reshape(out_ch, in_ch * k).T + b).T
+        if i != len(weights) - 1:
+            x = gelu(x)
+    return x.T
+
+
+# --- WAV decoding and resampling ---
+
+def decode_pcm16(raw: bytes, channels: int) -> np.ndarray:
+    """PCM-16 samples as first decoded: v / 32768, channel mean, clamp."""
+    x = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    if channels == 2:
+        x = x.reshape(-1, 2).mean(axis=1)
+    return np.clip(x, -1.0, 1.0)
+
+
+def resample_interp(samples, source_rate: int, target_rate: int) -> np.ndarray:
+    """Linear interpolation at every position i * source/target, as
+    resample_linear computes it for any ratio."""
+    n_in = len(samples)
+    n_out = int(round(n_in * target_rate / source_rate))
+    return np.interp(np.arange(n_out) * (source_rate / target_rate), np.arange(n_in), samples)
+
+
 # --- activations ---
 
 def gelu(x):

@@ -75,7 +75,7 @@ def gate_data(tmp_path_factory):
                                      duration_s=2.0)
     examples = parse_manifest(text)
     labels = np.array([ex.label for ex in examples])
-    clips = [load_clip(root / ex.clip_path) for ex in examples]
+    clips = [load_clip((root / ex.clip_path).read_bytes()) for ex in examples]
     vectors = [extract_feature(c, "mfcc_vector") for c in clips]
     images = [extract_feature(c, "melspec_image") for c in clips]
     return {"labels": labels, "vectors": vectors, "images": images,

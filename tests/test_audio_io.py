@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
+
 from voxscreen.audio_io import (
     AudioClip,
     load_wav,
@@ -118,7 +120,45 @@ class TestLoadWav:
         assert np.max(np.abs(back.samples - clip.samples)) <= 1 / 32768
 
 
+class TestPcm16MatchesOldChain:
+    """The integer PCM-16 decode against the divide / mean / clip chain it
+    replaced (tests/oracles.py), byte for byte."""
+
+    def test_every_mono_value(self):
+        values = np.arange(-32768, 32768)
+        got = load_wav(wav_bytes(values, rate=16000)).samples
+        want = oracles.decode_pcm16(values.astype("<i2").tobytes(), 1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_stereo_pairs_with_extremes(self):
+        edges = np.array([-32768, -32767, -1, 0, 1, 32766, 32767])
+        pairs = np.concatenate([
+            np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2),
+            np.random.default_rng(21).integers(-32768, 32768, size=(50_000, 2))])
+        got = load_wav(wav_bytes(pairs.ravel(), rate=48000, channels=2)).samples
+        want = oracles.decode_pcm16(pairs.astype("<i2").tobytes(), 2)
+        assert got.tobytes() == want.tobytes()
+        assert got.min() == -1.0 and got.max() == 32767 / 32768
+
+
 class TestResample:
+    def test_whole_ratio_bytes_match_interp(self):
+        """Taking every ratio-th sample equals np.interp at those positions,
+        signed zeros included."""
+        rng = np.random.default_rng(22)
+        signal = rng.normal(size=5000) * rng.choice([0.0, -0.0, 1.0], size=5000)
+        assert np.signbit(signal[signal == 0]).any() and not np.signbit(signal[signal == 0]).all()
+        for ratio in range(2, 7):
+            for n in range(2, 5001):
+                got = resample_linear(AudioClip(signal[:n], 16000 * ratio), 16000).samples
+                want = oracles.resample_interp(signal[:n], 16000 * ratio, 16000)
+                assert got.tobytes() == want.tobytes(), (ratio, n)
+
+    def test_other_ratios_interpolate(self):
+        signal = np.random.default_rng(23).normal(size=4410)
+        got = resample_linear(AudioClip(signal, 44100), 16000).samples
+        assert got.tobytes() == oracles.resample_interp(signal, 44100, 16000).tobytes()
+
     def test_identity_when_rates_equal(self):
         clip = AudioClip(np.array([0.1, -0.2, 0.3]), 8000)
         out = resample_linear(clip, 8000)

@@ -1,5 +1,6 @@
 """Command surface: synth, extract, cv, gamma-sweep, report."""
 
+import builtins
 import contextlib
 import io
 import json
@@ -120,6 +121,20 @@ class TestExtract:
         assert matrix.shape == (150, 150)
         from voxscreen.pipeline import feature_from_matrix
         assert feature_from_matrix(matrix, "melspec_image") is matrix  # the plane is the feature
+
+    def test_reads_each_clip_once(self, corpus, tmp_path, monkeypatch):
+        """The bytes index.csv hashes are the bytes decoded: one read per clip."""
+        real_open, opened = io.open, []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+        monkeypatch.setattr(io, "open", counting_open)  # what pathlib opens files with
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert _extract(corpus, tmp_path / "feats") == 0
+        clips = sorted(str(p) for p in corpus.glob("*.wav"))
+        assert len(clips) == 16
+        assert sorted(f for f in opened if f.endswith(".wav")) == clips
 
     def test_unreadable_path_isolated(self, corpus, tmp_path, capsys):
         bad_manifest = tmp_path / "bad.csv"
@@ -472,6 +487,21 @@ def test_nan_sample_clip_fails_instead_of_hanging(tmp_path, capsys):
     capsys.readouterr()
     assert _extract(corpus, tmp_path / "feats") == 1
     assert f"FAILED {wav.name}: float data holds NaN samples" in capsys.readouterr().err
+
+
+def test_cv_load_error_names_the_clip(tmp_path, capsys):
+    """cv decodes clips that no index lists; a bad one is named in the error."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "4", "4", "--seed", "5", "--duration", "0.6",
+                 "--out", str(corpus)]) == 0
+    wav = sorted(corpus.glob("*.wav"))[3]
+    samples = load_wav(wav.read_bytes()).samples.copy()
+    samples[100] = np.nan
+    wav.write_bytes(float_wav_bytes(samples))
+    capsys.readouterr()
+    assert _cv(corpus, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {wav.name}: float data holds NaN samples\n"
 
 
 def check_cv_refuses(corpus):

@@ -7,15 +7,18 @@ import oracles
 
 from voxscreen.audio_io import AudioClip, synth_clip
 from voxscreen.encoder import (
+    BLOCK_FRAMES,
     ENCODER_KERNELS,
     ENCODER_STRIDES,
     EncoderConfig,
     encoder_apply,
     encoder_output_length,
+    seeded_weights,
 )
 from voxscreen.errors import DegenerateInputError
 from voxscreen.learners import layers
 from voxscreen.learners.layers import gelu
+from test_layers import ONE_BLAS_THREAD, REDUCED_DISPATCH, run_check
 
 SMALL = EncoderConfig(channels=8)
 
@@ -106,3 +109,50 @@ class TestGeluMatchesPowForm:
         slow = [encoder_apply(c, cfg).astype("<f4").tobytes() for c in clips]
         assert fast == slow
 
+
+def samples_for_frames(layer: int, frames: int) -> int:
+    """The shortest clip whose layer-th convolution outputs `frames` frames."""
+    n = frames
+    for k, s in zip(reversed(ENCODER_KERNELS[:layer + 1]), reversed(ENCODER_STRIDES[:layer + 1])):
+        n = (n - 1) * s + k
+    return n
+
+
+# first three layers: one full block, one block plus 1 row, and a last
+# block of 1 row after two full ones; a 2 s clip runs 13 blocks in layer 1
+ENCODER_CASE_LENGTHS = sorted({
+    samples_for_frames(layer, frames) for layer in range(3)
+    for frames in (BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1)} | {32000})
+
+
+def check_every_encoder_case():
+    """encoder_apply, blocked and time-major, equals the whole-layer form
+    (tests/oracles.py) byte for byte."""
+    rng = np.random.default_rng(24)
+    for channels in (8, 512):
+        cfg = EncoderConfig(channels=channels)
+        for n in ENCODER_CASE_LENGTHS:
+            samples = rng.uniform(-1.0, 1.0, n)
+            got = encoder_apply(AudioClip(samples, 16000), cfg)
+            want = oracles.encoder_whole_layer(samples, seeded_weights(cfg), cfg.strides,
+                                               layers.gelu)
+            assert got.tobytes() == want.tobytes(), (channels, n)
+
+
+class TestBlockedMatchesWholeLayer:
+    def test_case_lengths_hit_block_edges(self):
+        for layer in range(3):
+            for frames in (BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1):
+                n = samples_for_frames(layer, frames)
+                assert oracles.conv_stack_length(n, ENCODER_KERNELS[:layer + 1],
+                                                 ENCODER_STRIDES[:layer + 1]) == frames
+                assert oracles.conv_stack_length(n - 1, ENCODER_KERNELS[:layer + 1],
+                                                 ENCODER_STRIDES[:layer + 1]) == frames - 1
+
+    def test_bytes_equal(self):
+        check_every_encoder_case()
+
+    @pytest.mark.parametrize("extra_env", [ONE_BLAS_THREAD, REDUCED_DISPATCH],
+                             ids=["one_blas_thread", "reduced_dispatch"])
+    def test_bytes_equal_in_subprocess(self, extra_env):
+        run_check("import test_encoder; test_encoder.check_every_encoder_case()", extra_env)

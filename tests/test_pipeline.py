@@ -68,14 +68,12 @@ class TestExtractFeature:
         with pytest.raises(ConfigError):
             extract_feature(synth_clip(0, 1, 1.0), "chromagram")
 
-    def test_load_clip_resamples_to_16k(self, tmp_path):
+    def test_load_clip_resamples_to_16k(self):
         from voxscreen.audio_io import AudioClip, save_wav
         from voxscreen.pipeline import load_clip
         t = np.arange(8000) / 8000.0
         clip8k = AudioClip(0.5 * np.sin(2 * np.pi * 220 * t), 8000)
-        path = tmp_path / "a8k.wav"
-        path.write_bytes(save_wav(clip8k))
-        loaded = load_clip(path)
+        loaded = load_clip(save_wav(clip8k))
         assert loaded.sample_rate == 16000
         assert len(loaded.samples) == 16000
         assert np.max(np.abs(loaded.samples)) == 1.0  # peak-normalized

@@ -1,9 +1,13 @@
 """numpy is the only third-party package that voxscreen loads at run time,
-and every re-exported learner name resolves."""
+every re-exported learner name resolves, and so does every function the
+benchmark's tracer wraps."""
 
+import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
+import pkgutil
 import sys
 
 import numpy
@@ -35,3 +39,22 @@ def test_importing_every_module_loads_only_stdlib_and_numpy():
     modules = [p for p in package_dir.rglob("*.py") if p != package_dir / "__init__.py"]
     assert int(n_modules) == len(modules)  # every module and subpackage was imported
     assert foreign == ""
+
+
+def test_every_traced_layer_resolves():
+    """perfbench/tracing.py wraps functions by (module, attribute) name; a
+    rename in voxscreen would otherwise pass here and only break a traced run."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for info in pkgutil.walk_packages(voxscreen.__path__, "voxscreen."):
+        importlib.import_module(info.name)
+    assert callable(sys.modules["voxscreen.pipeline"].resolve_recipe)  # wrapped by name too
+    for module, attr, span, _ in tracing.LAYERS:
+        owner = sys.modules[module]
+        if "." in attr:  # a method, patched on its class
+            cls_name, method = attr.split(".")
+            assert callable(vars(getattr(owner, cls_name)).get(method)), span
+        else:
+            assert callable(getattr(owner, attr, None)), span
