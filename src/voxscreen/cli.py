@@ -51,10 +51,12 @@ def _load_examples(manifest_path: str, cohort: str):
 
 
 def _write_fingerprint(out_dir: Path, payload: dict) -> None:
+    """Write fingerprint.json whole or not at all: through a temporary name."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "fingerprint.json").write_text(
-        json.dumps({"fingerprint": config_fingerprint(payload), "config": payload},
-                   indent=2, sort_keys=True, default=str))
+    partial = out_dir / "fingerprint.json.tmp"
+    partial.write_text(json.dumps({"fingerprint": config_fingerprint(payload),
+                                   "config": payload}, indent=2, sort_keys=True, default=str))
+    os.replace(partial, out_dir / "fingerprint.json")
 
 
 def _feature_params(args) -> tuple[FrameParams, MelParams, str]:
@@ -180,7 +182,8 @@ def _hyper_from_args(args) -> dict:
 def _run_cv(args, runs: list[tuple[str, dict]], **fingerprinted) -> list:
     """Cross-validate one recipe per (label, hyper) run on one collection of
     the run's features. Writes <label>.json, .txt and _roc.csv for each, then
-    a fingerprint.json of every input the reports depend on."""
+    a fingerprint.json of every input the reports depend on. An older
+    fingerprint goes first, so a run that stops partway leaves none."""
     if args.k < 2:
         raise ConfigError(f"--k {args.k}: cross-validation needs at least 2 folds")
     examples = _load_examples(args.manifest, args.cohort)
@@ -192,6 +195,7 @@ def _run_cv(args, runs: list[tuple[str, dict]], **fingerprinted) -> list:
     features = _collect_features(args, examples)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "fingerprint.json").unlink(missing_ok=True)
     reports = []
     for label, recipe in recipes:
         report = cross_validate(features, labels, recipe, k=args.k, seed=args.seed)

@@ -20,24 +20,18 @@ LOG_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class FrameParams:
-    """Framing geometry for the short-time transforms.
-
-    window "rect" exists for tests that need an impulse to stay an
-    impulse; analysis always runs with the periodic Hann.
-    """
+    """Framing geometry for the short-time transforms; every frame is
+    weighted by the periodic Hann window."""
 
     frame_length: int = 2048
     hop_length: int = 512
     centered: bool = True
-    window: str = "hann_periodic"
 
     def __post_init__(self):
         if not (0 < self.hop_length <= self.frame_length):
             raise ValueError("need 0 < hop_length <= frame_length")
         if self.frame_length & (self.frame_length - 1):
             raise ValueError("frame_length must be a power of two")
-        if self.window not in ("hann_periodic", "rect"):
-            raise ValueError(f"unknown window {self.window!r}")
 
     @property
     def n_bins(self) -> int:
@@ -88,9 +82,7 @@ def stft_power(clip: AudioClip, p: FrameParams = FrameParams()) -> np.ndarray:
     expected = frame_count(len(clip.samples), p)
     if expected == 0:
         return np.zeros((0, p.n_bins))
-    frames = _frame_matrix(clip.samples, p)[:expected]
-    if p.window == "hann_periodic":
-        frames = frames * hann_window(p.frame_length)
+    frames = _frame_matrix(clip.samples, p)[:expected] * hann_window(p.frame_length)
     spec = np.fft.rfft(frames, axis=1)
     return (spec * spec.conj()).real
 

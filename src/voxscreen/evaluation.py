@@ -147,7 +147,7 @@ class EvaluationReport:
     pooled_roc: RocCurve
     confusions: list[ConfusionCounts]
     fingerprint: str
-    pooled_scores: np.ndarray | None = None  # out-of-fold, example order
+    pooled_scores: np.ndarray  # out-of-fold, example order
 
     def aggregate(self) -> dict[str, tuple[float, float] | None]:
         """Mean and population std of each metric over defined folds."""

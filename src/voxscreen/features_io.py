@@ -30,7 +30,8 @@ def write_feature(path: str, matrix: np.ndarray, feature_kind: str) -> None:
 
 def read_feature(path: str) -> tuple[np.ndarray, str]:
     """The stored matrix and its feature kind."""
-    data = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     if data[:4] != FEATURE_MAGIC:
         raise CorruptFileError(f"{path}: not a VXF1 feature file")
     if len(data) < _HEADER.size:

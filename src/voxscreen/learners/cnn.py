@@ -1,7 +1,7 @@
 """Small image classifier: two conv/pool/dropout stages, softmax head.
 
-Trained with Adam on categorical cross-entropy over two softmax units,
-mini-batches of 32, a fixed epoch budget and no early stopping.
+Trained in float32 with Adam on categorical cross-entropy over two softmax
+units, mini-batches of 32, a fixed epoch budget and no early stopping.
 """
 
 from __future__ import annotations
@@ -26,20 +26,20 @@ from .layers import (
     softmax_cross_entropy,
 )
 
-CNN_EPOCHS = 100
-CNN_BATCH = 32
 SCORE_CHUNK = 4  # images per conv pass in CnnModel.scores
 
 
 @dataclass(frozen=True)
 class CnnConfig:
-    """Architecture knobs; defaults sized for desk-scale runs."""
+    """Architecture and training knobs; defaults sized for desk-scale runs."""
 
     filters1: int = 16
     filters2: int = 32
     kernel: int = 3
     dropout: float = 0.25
     lr: float = 1e-3
+    epochs: int = 100
+    batch: int = 32
 
 
 @dataclass
@@ -111,16 +111,13 @@ def cnn_backward(params, cache, grad_logits):
     return grads
 
 
-def train_cnn(images, labels, epochs: int = CNN_EPOCHS, batch: int = CNN_BATCH,
-              seed: int = 0, config: CnnConfig = CnnConfig(),
-              dtype=np.float32) -> CnnModel:
-    """Fit on [n, h, w, c] images with {0,1} labels.
+def train_cnn(images, labels, seed: int, config: CnnConfig) -> CnnModel:
+    """Fit on [n, h, w, c] images with {0,1} labels, in float32.
 
     Deterministic for fixed (data, seed): shuffling and dropout draw from
-    one seeded generator. Training runs in float32 by default; pass
-    float64 when the run feeds a gradient check.
+    one seeded generator.
     """
-    images = np.asarray(images, dtype=dtype)
+    images = np.asarray(images, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
     if images.ndim != 4:
         raise ValueError(f"expected [n, h, w, c] images, got {images.shape}")
@@ -129,15 +126,15 @@ def train_cnn(images, labels, epochs: int = CNN_EPOCHS, batch: int = CNN_BATCH,
 
     rng = np.random.default_rng(seed)
     params = init_cnn_params(images.shape[1:], config, rng)
-    params = {k: v.astype(dtype) for k, v in params.items()}
-    onehot_all = np.eye(2, dtype=dtype)[labels]
+    params = {k: v.astype(np.float32) for k, v in params.items()}
+    onehot_all = np.eye(2, dtype=np.float32)[labels]
     opt = Adam(lr=config.lr)
 
     n = len(images)
-    for _ in range(epochs):
+    for _ in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch):
-            take = order[start:start + batch]
+        for start in range(0, n, config.batch):
+            take = order[start:start + config.batch]
             logits, cache = cnn_forward(params, images[take], config,
                                         training=True, rng=rng)
             loss, grad_logits = softmax_cross_entropy(logits, onehot_all[take])

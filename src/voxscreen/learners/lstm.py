@@ -28,10 +28,6 @@ from .layers import (
     sigmoid,
 )
 
-LSTM_EPOCHS = 100
-LSTM_BATCH = 32
-
-
 @dataclass(frozen=True)
 class LstmConfig:
     hidden: int = 64
@@ -39,6 +35,14 @@ class LstmConfig:
     dropout: float = 0.3
     lr: float = 1e-3
     loss: str = "mae"  # or "bce"
+    epochs: int = 100
+    batch: int = 32
+
+
+def as_sequences(x) -> np.ndarray:
+    """x as float64 [n, T, D] sequences; [n, T] rows are scalar sequences."""
+    xs = np.asarray(x, dtype=np.float64)
+    return xs[:, :, None] if xs.ndim == 2 else xs
 
 
 @dataclass
@@ -47,7 +51,7 @@ class LstmModel:
     config: LstmConfig
 
     def scores(self, sequences: np.ndarray) -> np.ndarray:
-        p, _ = lstm_forward(self.params, np.asarray(sequences, dtype=np.float64),
+        p, _ = lstm_forward(self.params, as_sequences(sequences),
                             self.config, training=False, rng=None)
         return p
 
@@ -156,12 +160,9 @@ def lstm_loss_grad(params, xs, labels, cfg: LstmConfig, training, rng):
     return loss, cache, dz2
 
 
-def train_lstm(sequences, labels, epochs: int = LSTM_EPOCHS, batch: int = LSTM_BATCH,
-               seed: int = 0, config: LstmConfig = LstmConfig()) -> LstmModel:
-    """Fit on sequences [n, T, D] with {0,1} labels; deterministic per seed."""
-    xs = np.asarray(sequences, dtype=np.float64)
-    if xs.ndim == 2:
-        xs = xs[:, :, None]  # scalar sequences
+def train_lstm(sequences, labels, seed: int, config: LstmConfig) -> LstmModel:
+    """Fit on sequences [n, T, D] or [n, T] with {0,1} labels; deterministic per seed."""
+    xs = as_sequences(sequences)
     labels = np.asarray(labels, dtype=np.float64)
     if xs.shape[1] == 0:
         raise EmptySequenceError("sequences have zero timesteps")
@@ -172,10 +173,10 @@ def train_lstm(sequences, labels, epochs: int = LSTM_EPOCHS, batch: int = LSTM_B
     params = init_lstm_params(xs.shape[2], config, rng)
     opt = Adam(lr=config.lr)
     n = len(xs)
-    for _ in range(epochs):
+    for _ in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch):
-            take = order[start:start + batch]
+        for start in range(0, n, config.batch):
+            take = order[start:start + config.batch]
             loss, cache, dz2 = lstm_loss_grad(params, xs[take], labels[take],
                                               config, training=True, rng=rng)
             if not np.isfinite(loss):

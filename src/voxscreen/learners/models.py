@@ -3,7 +3,7 @@ the fitted-model wrapper and its scoring."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -11,7 +11,6 @@ import numpy as np
 from ..errors import FeatureKindMismatchError
 from ..render import Standardizer
 from .cnn import CnnConfig, train_cnn
-from .layers import sigmoid
 from .logreg import train_logreg
 from .lstm import LstmConfig, train_lstm
 from .svm import train_svm_smo
@@ -22,13 +21,13 @@ class ModelSpec:
     """Everything that differs between model kinds.
 
     fit(x, labels, seed, hyper) calls its trainer by module-global name, so
-    rebinding a train_* name in this module reaches every fold.
+    rebinding a train_* name in this module reaches every fold. Every fitted
+    model scores model_input's array with .scores(x), in [0, 1].
     """
 
     images: bool                # reads [n, h, w] gray planes, else standardized [n, d] rows
     hyper: dict[str, Callable]  # recipe hyper keys it reads -> cast that range-checks
     fit: Callable               # (x, labels, seed, hyper) -> fitted model
-    score: Callable             # (fitted, x) -> scores in [0, 1]
 
 
 def _ranged(cast, ok, rule: str) -> Callable:
@@ -45,56 +44,39 @@ POSITIVE = _ranged(float, lambda v: v > 0, "must be greater than 0")
 FRACTION = _ranged(float, lambda v: 0 <= v < 1, "must be in [0, 1)")
 
 
-def _with_config(config_cls, hyper: dict) -> dict:
-    """Trainer keyword arguments: config=config_cls(...) plus the rest of hyper."""
-    names = {f.name for f in fields(config_cls)}
-    return {"config": config_cls(**{k: v for k, v in hyper.items() if k in names}),
-            **{k: v for k, v in hyper.items() if k not in names}}
-
-
-def _channels(planes: np.ndarray) -> np.ndarray:
-    """[n, h, w] gray planes as the CNN's [n, h, w, 3] input: a read-only view,
-    so the three identical channels cost no memory until train_cnn casts them."""
-    return np.broadcast_to(planes[..., None], (*planes.shape, 3))
-
-
 MODELS = {
     "logreg": ModelSpec(
         images=False, hyper={"epochs": COUNT, "lr": POSITIVE},
-        fit=lambda x, y, seed, h: train_logreg(x, y, **h),
-        score=lambda m, x: m.scores(x)),
+        fit=lambda x, y, seed, h: train_logreg(x, y, **h)),
     "svm": ModelSpec(
         images=False,
         hyper={"C": POSITIVE, "gamma": POSITIVE, "tol": POSITIVE, "max_passes": COUNT},
-        fit=lambda x, y, seed, h: train_svm_smo(x, y, **h),
-        score=lambda m, x: sigmoid(m.decision_values(x))),
+        fit=lambda x, y, seed, h: train_svm_smo(x, y, **h)),
     "cnn": ModelSpec(
         images=True,
         hyper={"filters1": COUNT, "filters2": COUNT, "dropout": FRACTION, "lr": POSITIVE,
                "epochs": COUNT, "batch": COUNT},
-        fit=lambda x, y, seed, h: train_cnn(_channels(x), y, seed=seed,
-                                            **_with_config(CnnConfig, h)),
-        score=lambda m, x: m.scores(_channels(x))),
+        fit=lambda x, y, seed, h: train_cnn(x, y, seed, CnnConfig(**h))),
     "lstm": ModelSpec(
         images=False,
         hyper={"hidden": COUNT, "dense": COUNT, "dropout": FRACTION, "lr": POSITIVE,
                "loss": _ranged(str, lambda v: v in ("mae", "bce"), "must be mae or bce"),
                "epochs": COUNT, "batch": COUNT},
-        fit=lambda x, y, seed, h: train_lstm(x[:, :, None], y, seed=seed,
-                                             **_with_config(LstmConfig, h)),
-        score=lambda m, x: m.scores(x[:, :, None])),
+        fit=lambda x, y, seed, h: train_lstm(x, y, seed, LstmConfig(**h))),
 }
 MODEL_KINDS = tuple(MODELS)
 
 
 def model_input(features, images: bool) -> np.ndarray:
-    """The feature array as float64, checked to be what the model reads:
-    [n, h, w] gray planes for an image model, [n, d] rows otherwise."""
+    """The feature array as float64, checked to be what the model reads: [n, d]
+    rows for a vector model. An image model takes [n, h, w] gray planes and reads
+    them as [n, h, w, 3]: a read-only view, so the three identical channels cost
+    no memory until train_cnn casts them."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != (3 if images else 2):
         raise FeatureKindMismatchError(
             f"{'image' if images else 'vector'} model cannot read a {x.ndim}-D feature array")
-    return x
+    return np.broadcast_to(x[..., None], (*x.shape, 3)) if images else x
 
 
 @dataclass
@@ -107,9 +89,8 @@ class TrainedModel:
 
     def score_batch(self, features) -> np.ndarray:
         """Scores in [0, 1] for a stacked feature array."""
-        spec = MODELS[self.kind]
-        x = model_input(features, spec.images)
+        x = model_input(features, MODELS[self.kind].images)
         if self.standardizer is not None:
             x = self.standardizer.apply(x)
-        return spec.score(self.model, x)
+        return self.model.scores(x)
 

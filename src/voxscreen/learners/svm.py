@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionMismatchError, SingleClassDataError
+from .layers import sigmoid
 
 SVM_C = 1.0
 SVM_GAMMA = 0.001
@@ -30,7 +31,7 @@ class SvmModel:
     dual_coefs: np.ndarray       # alpha_i * y_i per support vector
     bias: float
     gamma: float
-    converged: bool = True
+    converged: bool  # False when SMO's sweep budget ran out
 
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
@@ -39,6 +40,10 @@ class SvmModel:
                 f"rows have {rows.shape[1]} features, "
                 f"model expects {self.support_vectors.shape[1]}")
         return rbf_gram(rows, self.support_vectors, self.gamma) @ self.dual_coefs + self.bias
+
+    def scores(self, rows: np.ndarray) -> np.ndarray:
+        """Decision values squashed into [0, 1] by the sigmoid; 0.5 on the boundary."""
+        return sigmoid(self.decision_values(rows))
 
 
 class _SmoState:

@@ -27,15 +27,15 @@ def corpus(tmp_path_factory):
     return root
 
 
-def _counting(monkeypatch, name, fail_on=None):
+def _counting(monkeypatch, name, fail_on=None, error=RuntimeError):
     """Replace voxscreen.cli.<name> with a wrapper that counts its calls and
-    raises RuntimeError on call number fail_on."""
+    raises error on call number fail_on."""
     real, calls = getattr(voxscreen.cli, name), []
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         if len(calls) == fail_on:
-            raise RuntimeError("interrupted")
+            raise error("interrupted")
         return real(*args, **kwargs)
     monkeypatch.setattr(voxscreen.cli, name, wrapper)
     return calls
@@ -391,6 +391,20 @@ class TestGammaSweep:
                          "--k", "2", "--seed", "2", "--out", str(out), *flags]) == 0
             fingerprints.add(json.loads((out / "fingerprint.json").read_text())["fingerprint"])
         assert len(fingerprints) == 4
+
+    def test_interrupted_sweep_leaves_no_fingerprint(self, corpus, tmp_path, monkeypatch):
+        """A sweep that stops partway must not leave the fingerprint of an
+        earlier run beside its new reports."""
+        out = tmp_path / "sweep"
+        argv = ["gamma-sweep", "--manifest", str(corpus / "manifest.csv"),
+                "--feature", "mfcc_vector", "--gammas", "0.0001,0.001",
+                "--k", "4", "--seed", "2", "--out", str(out)]
+        assert main(argv) == 0 and (out / "fingerprint.json").exists()
+        calls = _counting(monkeypatch, "cross_validate", fail_on=2, error=OSError)
+        assert main(argv[:-4] + ["--seed", "3", "--out", str(out)]) == 1
+        assert len(calls) == 2
+        assert (out / "gamma_0.0001.json").exists()
+        assert not list(out.glob("fingerprint*"))
 
     def test_gammas_sharing_a_report_name_refused(self, corpus, tmp_path, capsys,
                                                   monkeypatch):

@@ -150,8 +150,8 @@ class TestTrainCnn:
         """64 images, class = bright top vs bottom half, 100 epochs."""
         rng = np.random.default_rng(3)
         images, labels = bright_half_images(rng, 64)
-        model = train_cnn(images, labels, epochs=100, batch=32, seed=0,
-                          config=CnnConfig(filters1=4, filters2=6))
+        model = train_cnn(images, labels, seed=0,
+                          config=CnnConfig(filters1=4, filters2=6, epochs=100, batch=32))
         acc = np.mean((model.scores(images) >= 0.5).astype(int) == labels)
         assert acc >= 0.95
 
@@ -159,12 +159,12 @@ class TestTrainCnn:
         rng = np.random.default_rng(4)
         images, labels = bright_half_images(rng, 32)
         onehot = np.eye(2)[labels]
-        cfg = CnnConfig(filters1=4, filters2=6)
+        cfg = CnnConfig(filters1=4, filters2=6, epochs=30, batch=32)
         params0 = init_cnn_params(images.shape[1:], cfg,
                                   np.random.default_rng(0))
         logits0, _ = cnn_forward(params0, images, cfg, training=False, rng=None)
         initial = softmax_cross_entropy(logits0, onehot)[0]
-        model = train_cnn(images, labels, epochs=30, batch=32, seed=0, config=cfg)
+        model = train_cnn(images, labels, seed=0, config=cfg)
         logits1, _ = cnn_forward(model.params, images, cfg, training=False, rng=None)
         final = softmax_cross_entropy(logits1, onehot)[0]
         assert final <= initial
@@ -172,16 +172,16 @@ class TestTrainCnn:
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         images, labels = bright_half_images(rng, 16, size=12)
-        a = train_cnn(images, labels, epochs=3, seed=9,
-                      config=CnnConfig(filters1=3, filters2=4))
-        b = train_cnn(images, labels, epochs=3, seed=9,
-                      config=CnnConfig(filters1=3, filters2=4))
+        a = train_cnn(images, labels, seed=9,
+                      config=CnnConfig(filters1=3, filters2=4, epochs=3))
+        b = train_cnn(images, labels, seed=9,
+                      config=CnnConfig(filters1=3, filters2=4, epochs=3))
         for k in a.params:
             assert np.array_equal(a.params[k], b.params[k])
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataError):
-            train_cnn(np.zeros((4, 12, 12, 3)), np.ones(4), epochs=1)
+            train_cnn(np.zeros((4, 12, 12, 3)), np.ones(4), seed=0, config=CnnConfig(epochs=1))
 
     def test_full_input_shape_consistent(self):
         """Layer shapes line up for the 150x150x3 screening input."""

@@ -89,19 +89,19 @@ class TestTrainLstm:
         """100 ramp sequences, ascending vs descending."""
         rng = np.random.default_rng(6)
         xs, labels = ramp_sequences(rng, 100)
-        model = train_lstm(xs, labels, epochs=40, batch=32, seed=1,
-                           config=LstmConfig(hidden=16, dense=8))
+        model = train_lstm(xs, labels, seed=1,
+                           config=LstmConfig(hidden=16, dense=8, epochs=40, batch=32))
         acc = np.mean((model.scores(xs) >= 0.5).astype(int) == labels)
         assert acc >= 0.95
 
     def test_final_loss_not_above_initial(self):
         rng = np.random.default_rng(7)
         xs, labels = ramp_sequences(rng, 40)
-        cfg = LstmConfig(hidden=8, dense=4)
+        cfg = LstmConfig(hidden=8, dense=4, epochs=25, batch=32)
         params0 = init_lstm_params(1, cfg, np.random.default_rng(1))
         initial = lstm_loss_grad(params0, xs, labels.astype(float), cfg,
                                  training=False, rng=None)[0]
-        model = train_lstm(xs, labels, epochs=25, batch=32, seed=1, config=cfg)
+        model = train_lstm(xs, labels, seed=1, config=cfg)
         final = lstm_loss_grad(model.params, xs, labels.astype(float), cfg,
                                training=False, rng=None)[0]
         assert final <= initial
@@ -109,25 +109,26 @@ class TestTrainLstm:
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         xs, labels = ramp_sequences(rng, 20, length=10)
-        cfg = LstmConfig(hidden=4, dense=3)
-        a = train_lstm(xs, labels, epochs=3, seed=2, config=cfg)
-        b = train_lstm(xs, labels, epochs=3, seed=2, config=cfg)
+        cfg = LstmConfig(hidden=4, dense=3, epochs=3)
+        a = train_lstm(xs, labels, seed=2, config=cfg)
+        b = train_lstm(xs, labels, seed=2, config=cfg)
         for k in a.params:
             assert np.array_equal(a.params[k], b.params[k])
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptySequenceError):
-            train_lstm(np.zeros((4, 0, 1)), np.array([0, 1, 0, 1]), epochs=1)
+            train_lstm(np.zeros((4, 0, 1)), np.array([0, 1, 0, 1]), seed=0,
+                       config=LstmConfig(epochs=1))
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataError):
-            train_lstm(np.zeros((4, 5, 1)), np.zeros(4), epochs=1)
+            train_lstm(np.zeros((4, 5, 1)), np.zeros(4), seed=0, config=LstmConfig(epochs=1))
 
     def test_bce_option_trains(self):
         rng = np.random.default_rng(9)
         xs, labels = ramp_sequences(rng, 30)
-        model = train_lstm(xs, labels, epochs=20, batch=32, seed=3,
-                           config=LstmConfig(hidden=8, dense=4, loss="bce"))
+        model = train_lstm(xs, labels, seed=3,
+                           config=LstmConfig(hidden=8, dense=4, loss="bce", epochs=20, batch=32))
         acc = np.mean((model.scores(xs) >= 0.5).astype(int) == labels)
         assert acc >= 0.9
 
@@ -137,8 +138,8 @@ class TestTrainLstm:
         labels = rng.integers(0, 2, 24)
         xs = np.stack([rng.normal(lab * 1.0, 0.3, size=(12, 5))
                        for lab in labels])
-        model = train_lstm(xs, labels, epochs=40, batch=8, seed=4,
-                           config=LstmConfig(hidden=6, dense=4))
+        model = train_lstm(xs, labels, seed=4,
+                           config=LstmConfig(hidden=6, dense=4, epochs=40, batch=8))
         assert model.params["wx_f"].shape[0] == 5
         acc = np.mean((model.scores(xs) >= 0.5).astype(int) == labels)
         assert acc >= 0.9
@@ -225,9 +226,9 @@ def check_every_stacked_case():
         rng = np.random.default_rng(13)
         xs, ys = rng.normal(size=(n, T, D)), np.arange(n) % 2
         for loss in ("mae", "bce"):
-            cfg = dataclasses.replace(base, loss=loss)
-            got = train_lstm(xs, ys, epochs=epochs, batch=batch, seed=5, config=cfg)
-            want = train_per_direction(xs, ys, epochs=epochs, batch=batch, seed=5, config=cfg)
+            cfg = dataclasses.replace(base, loss=loss, epochs=epochs, batch=batch)
+            got = train_lstm(xs, ys, seed=5, config=cfg)
+            want = train_per_direction(xs, ys, seed=5, config=cfg)
             for name in want.params:
                 assert_same_bytes(got.params[name], want.params[name], (n, T, D, loss, name))
 

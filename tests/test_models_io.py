@@ -1,5 +1,8 @@
 """TrainedModel scoring surface and VXF1 feature files."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,14 +58,16 @@ class TestPredictScore:
         assert abs(model.score_batch(probe[None])[0] - 0.5) < 1e-6
         assert np.array_equal(model.score_batch(rows),
                               sigmoid(inner.decision_values(scaler.apply(rows))))
+        x = scaler.apply(rows)
+        assert inner.scores(x).tobytes() == sigmoid(inner.decision_values(x)).tobytes()
 
     def test_cnn_complementary_scores(self):
         rng = np.random.default_rng(1)
         planes = rng.uniform(0, 1, size=(10, 12, 12))
         rgb = np.repeat(planes[..., None], 3, axis=3)
         labels = np.array([0, 1] * 5)
-        inner = train_cnn(rgb, labels, epochs=2, seed=0,
-                          config=CnnConfig(filters1=3, filters2=4))
+        inner = train_cnn(rgb, labels, seed=0,
+                          config=CnnConfig(filters1=3, filters2=4, epochs=2))
         model = TrainedModel("cnn", inner, None)
         p1 = model.score_batch(planes)
         p0 = 1.0 - inner.scores(rgb)
@@ -77,8 +82,8 @@ class TestPredictScore:
     def test_kind_mismatch_vector_to_image_model(self):
         rng = np.random.default_rng(2)
         images = rng.uniform(0, 1, size=(6, 12, 12, 3))
-        inner = train_cnn(images, np.array([0, 1] * 3), epochs=1, seed=0,
-                          config=CnnConfig(filters1=3, filters2=4))
+        inner = train_cnn(images, np.array([0, 1] * 3), seed=0,
+                          config=CnnConfig(filters1=3, filters2=4, epochs=1))
         model = TrainedModel("cnn", inner, None)
         with pytest.raises(FeatureKindMismatchError):
             model.score_batch(np.zeros((1, 40)))
@@ -94,6 +99,15 @@ class TestFeatureFiles:
         assert kind == "mfcc_image"
         assert np.array_equal(back, matrix)
         assert path.read_bytes()[:4] == b"VXF1"
+
+    def test_read_closes_its_file(self, tmp_path):
+        path = tmp_path / "feat.vxf"
+        write_feature(str(path), np.ones((2, 3)), "encoder")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            read_feature(str(path))
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_vector_stored_as_single_row(self, tmp_path):
         path = tmp_path / "vec.vxf"

@@ -1,5 +1,6 @@
 """Recipe plumbing: feature kinds, pairings, the encoder path, report bytes."""
 
+import dataclasses
 import hashlib
 import sys
 from collections import Counter
@@ -13,7 +14,8 @@ from voxscreen.audio_io import synth_clip
 from voxscreen.encoder import EncoderConfig
 from voxscreen.errors import ConfigError, FeatureKindMismatchError
 from voxscreen.evaluation import cross_validate
-from voxscreen.learners import layers
+from voxscreen.learners import CnnConfig, LstmConfig, layers
+from voxscreen.learners.models import MODELS
 from voxscreen.pipeline import (
     ALLOWED_PAIRS,
     extract_feature,
@@ -175,6 +177,12 @@ class TestResolvedFitFunctions:
                                         "filters2": 4}})
         trained = fit(images, labels, seed=0)
         assert trained.score_batch(images).shape == (8,)
+
+
+@pytest.mark.parametrize("kind,config_cls", [("cnn", CnnConfig), ("lstm", LstmConfig)])
+def test_network_hyper_keys_are_config_fields(kind, config_cls):
+    """The network trainers read every hyperparameter from their config."""
+    assert set(MODELS[kind].hyper) <= {f.name for f in dataclasses.fields(config_cls)}
 
 
 TRAINERS = {"logreg": "train_logreg", "svm": "train_svm_smo",
