@@ -83,6 +83,11 @@ class EmptyEvaluationError(VoxscreenError):
     """Confusion counts sum to zero."""
 
 
+class FoldWorkerDiedError(VoxscreenError):
+    """A worker process training cross-validation folds died before it
+    returned a fold's scores (killed by a signal, or out of memory)."""
+
+
 class ConfigError(VoxscreenError):
     """Run configuration is inconsistent or names an unknown recipe."""
 

@@ -22,10 +22,13 @@ class ModelSpec:
 
     fit(x, labels, seed, hyper) calls its trainer by module-global name, so
     rebinding a train_* name in this module reaches every fold. Every fitted
-    model scores model_input's array with .scores(x), in [0, 1].
+    model scores model_input's array with .scores(x), in [0, 1]. Only the
+    network kinds pool their folds: a logreg or SVM fold trains in well
+    under a second, and pooling made those folds slower.
     """
 
     images: bool                # reads [n, h, w] gray planes, else standardized [n, d] rows
+    pooled: bool                # cross_validate trains its folds in a pool of forked workers
     hyper: dict[str, Callable]  # recipe hyper keys it reads -> cast that range-checks
     fit: Callable               # (x, labels, seed, hyper) -> fitted model
 
@@ -46,19 +49,19 @@ FRACTION = _ranged(float, lambda v: 0 <= v < 1, "must be in [0, 1)")
 
 MODELS = {
     "logreg": ModelSpec(
-        images=False, hyper={"epochs": COUNT, "lr": POSITIVE},
+        images=False, pooled=False, hyper={"epochs": COUNT, "lr": POSITIVE},
         fit=lambda x, y, seed, h: train_logreg(x, y, **h)),
     "svm": ModelSpec(
-        images=False,
+        images=False, pooled=False,
         hyper={"C": POSITIVE, "gamma": POSITIVE, "tol": POSITIVE, "max_passes": COUNT},
         fit=lambda x, y, seed, h: train_svm_smo(x, y, **h)),
     "cnn": ModelSpec(
-        images=True,
+        images=True, pooled=True,
         hyper={"filters1": COUNT, "filters2": COUNT, "dropout": FRACTION, "lr": POSITIVE,
                "epochs": COUNT, "batch": COUNT},
         fit=lambda x, y, seed, h: train_cnn(x, y, seed, CnnConfig(**h))),
     "lstm": ModelSpec(
-        images=False,
+        images=False, pooled=True,
         hyper={"hidden": COUNT, "dense": COUNT, "dropout": FRACTION, "lr": POSITIVE,
                "loss": _ranged(str, lambda v: v in ("mae", "bce"), "must be mae or bce"),
                "epochs": COUNT, "batch": COUNT},

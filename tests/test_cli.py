@@ -12,10 +12,10 @@ import pytest
 
 import voxscreen.cli
 from test_audio_io import float_wav_bytes
-from test_layers import run_check
+from test_layers import run_check, usable_cpus
 from voxscreen.audio_io import load_wav
 from voxscreen.cli import build_parser, main
-from voxscreen.errors import ConfigError, CorruptFileError
+from voxscreen.errors import ConfigError, CorruptFileError, NonFiniteLossError
 from voxscreen.features_io import read_feature, write_feature
 
 
@@ -516,6 +516,22 @@ def test_cv_load_error_names_the_clip(tmp_path, capsys):
     assert _cv(corpus, tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err == f"error: {wav.name}: float data holds NaN samples\n"
+
+
+def test_pooled_fold_error_is_an_error_line(corpus, tmp_path, monkeypatch, capsys):
+    """A typed error raised in a fold that trains in the fold pool reaches
+    main with its type, which prints it as an error line."""
+    import voxscreen.learners.models as models
+
+    def diverge(*args):
+        raise NonFiniteLossError("lstm loss is nan at epoch 1")
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(models, "train_lstm", diverge)
+    capsys.readouterr()
+    assert _cv(corpus, tmp_path / "out", "--model", "lstm") == 1
+    err = capsys.readouterr().err
+    assert err == "error: lstm loss is nan at epoch 1\n"
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def check_cv_refuses(corpus):

@@ -1,17 +1,22 @@
 """Folds, confusion metrics, ROC/AUC and the cross-validation protocol."""
 
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 import oracles
-from test_layers import run_check
+from test_layers import run_check, usable_cpus
 
 from voxscreen.errors import (
     EmptyEvaluationError,
+    FoldWorkerDiedError,
     InsufficientClassCountError,
     LengthMismatchError,
+    NonFiniteLossError,
     SingleClassDataError,
 )
 from voxscreen.evaluation import (
@@ -295,3 +300,62 @@ class TestCrossValidate:
         csv_lines = report.roc_csv().strip().splitlines()
         assert csv_lines[0] == "threshold,fpr,tpr"
         assert len(csv_lines) == len(report.pooled_roc.points) + 1
+
+
+def _toy_data():
+    rng = np.random.default_rng(15)
+    labels = np.array([0, 1] * 16)
+    return rng.normal(size=(32, 2)) + labels[:, None], labels
+
+
+def check_dead_worker_raises():
+    """A fold worker killed by SIGKILL ends cross_validate with
+    FoldWorkerDiedError. Had the fold run in this process, the kill would end
+    the interpreter; had fit reached the worker by pickling, a closure would
+    not get there at all."""
+    feats, labels = _toy_data()
+
+    def fit(features, labels, seed):
+        if seed == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _MeanThreshold(features, labels)
+    with pytest.MonkeyPatch.context() as mp:
+        usable_cpus(mp, 2)
+        with pytest.raises(FoldWorkerDiedError, match="fold worker died"):
+            cross_validate(feats, labels, {"model": "cnn"}, k=4, seed=0, fit_fn=fit)
+
+
+class TestFoldPool:
+    def test_dead_worker_is_a_typed_error_not_a_hang(self):
+        """In a fresh `python -c` interpreter with a time limit, so a hang fails
+        instead of stalling the suite; fork never re-imports its __main__."""
+        run_check("import test_evaluation; test_evaluation.check_dead_worker_raises()", {},
+                  timeout=60)
+
+    def test_fold_error_keeps_its_type_and_cancels_the_rest(self, monkeypatch, tmp_path):
+        """Fold 0 fails at once while the others take 0.5 s each, so the
+        parent cancels the folds that have not started."""
+        usable_cpus(monkeypatch, 2)
+        feats, labels = _toy_data()
+
+        def fit(features, labels, seed):
+            (tmp_path / f"fold{seed}").touch()
+            if seed == 0:
+                raise NonFiniteLossError("loss diverged in fold 0")
+            time.sleep(0.5)
+            return _MeanThreshold(features, labels)
+        with pytest.raises(NonFiniteLossError, match="fold 0"):
+            cross_validate(feats, labels, {"model": "lstm"}, k=8, seed=0, fit_fn=fit)
+        assert len(list(tmp_path.iterdir())) < 8
+
+    def test_unpooled_kinds_train_in_this_process(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        feats, labels = _toy_data()
+        parent, pids = os.getpid(), set()
+
+        def fit(features, labels, seed):
+            pids.add(os.getpid())
+            return _MeanThreshold(features, labels)
+        for model in ("logreg", "svm", "toy"):
+            cross_validate(feats, labels, {"model": model}, k=4, seed=0, fit_fn=fit)
+        assert pids == {parent}

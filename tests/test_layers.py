@@ -270,6 +270,12 @@ REDUCED_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
 
 
+def usable_cpus(monkeypatch, n):
+    """Make cross_validate see n usable CPUs on any machine: one gives the
+    serial fold loop, two the fold pool of a pooled model kind."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def run_check(statement, extra_env, timeout=None):
     """Runs statement in a fresh interpreter in the tests directory with
     extra_env set; skips if numpy will not start under it. A run still going

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import os
 import sys
 from collections import Counter
 
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 import oracles
+from test_layers import ONE_BLAS_THREAD, REDUCED_DISPATCH, run_check, usable_cpus
 
 from voxscreen.audio_io import synth_clip
 from voxscreen.encoder import EncoderConfig
 from voxscreen.errors import ConfigError, FeatureKindMismatchError
-from voxscreen.evaluation import cross_validate
+from voxscreen.evaluation import cross_validate, stratified_folds
 from voxscreen.learners import CnnConfig, LstmConfig, layers
 from voxscreen.learners.models import MODELS
 from voxscreen.pipeline import (
@@ -191,36 +193,86 @@ TINY_HYPER = {"cnn": {"epochs": 1, "filters1": 2, "filters2": 2},
               "lstm": {"epochs": 1, "hidden": 2, "dense": 2}}
 
 
-def test_rebound_trainers_run_once_per_fold(monkeypatch):
-    """An outside profiler swaps each train_* name, in every voxscreen
-    module that binds it, for a wrapper; cross_validate must call it."""
+def _rebind_trainers(monkeypatch, make):
+    """Swap each train_* name, in every voxscreen module that binds it, for
+    make(name, original), as an outside profiler does."""
     from voxscreen import learners
-    calls = Counter()
     modules = [m for name, m in list(sys.modules.items())
                if name.startswith("voxscreen") and m is not None]
     for name in TRAINERS.values():
         original = getattr(learners, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        replacement = make(name, original)
         for module in modules:
             for key, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, key, counting)
+                    monkeypatch.setattr(module, key, replacement)
+
+
+def _tiny_features(model, labels, rng):
+    if model == "cnn":
+        return rng.uniform(0, 1, (len(labels), 10, 10))
+    return rng.normal(size=(len(labels), 5)) + labels[:, None]
+
+
+def test_rebound_trainers_run_once_per_fold(monkeypatch):
+    """An outside profiler swaps each train_* name, in every voxscreen
+    module that binds it, for a wrapper; cross_validate must call it. The
+    count is kept in this process, so the folds train here: on one CPU."""
+    usable_cpus(monkeypatch, 1)
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+    _rebind_trainers(monkeypatch, counting)
 
     rng = np.random.default_rng(5)
     labels = np.array([0, 1] * 4)
     for model, feature in sorted(ALLOWED_PAIRS):
-        if model == "cnn":
-            feats = rng.uniform(0, 1, (len(labels), 10, 10))
-        else:
-            feats = rng.normal(size=(len(labels), 5)) + labels[:, None]
+        feats = _tiny_features(model, labels, rng)
         calls.clear()
         cross_validate(feats, labels, {"model": model, "feature": feature,
                                        "hyper": TINY_HYPER.get(model, {})},
                        k=2, seed=0)
         assert calls == {TRAINERS[model]: 2}, (model, feature)
+
+
+POOLED_PAIRS = [("cnn", "melspec_image"), ("cnn", "mfcc_image"), ("lstm", "mfcc_vector")]
+
+
+class _FoldMark:
+    """A fitted model that scores every row with one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def scores(self, x):
+        return np.full(len(x), self.value)
+
+
+def test_rebound_trainers_reach_pooled_folds(monkeypatch):
+    """The pooled kinds' folds train in forked workers, which inherit the
+    rebound names: each fold's scores carry its seed, and are marked -1 had
+    the fold trained in this process."""
+    usable_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def marking(name, original):
+        return lambda x, labels, seed, config: _FoldMark(
+            (seed + 1) / 10 if os.getpid() != parent else -1.0)
+    _rebind_trainers(monkeypatch, marking)
+
+    rng = np.random.default_rng(5)
+    labels = np.array([0, 1] * 6)
+    for model, feature in POOLED_PAIRS:
+        report = cross_validate(_tiny_features(model, labels, rng), labels,
+                                {"model": model, "feature": feature}, k=3, seed=7)
+        plan = stratified_folds(labels, k=3, seed=7)
+        for fold in range(3):
+            assert np.all(report.pooled_scores[plan.test_indices(fold)]
+                          == (7 + fold + 1) / 10), (model, feature, fold)
 
 
 # sha256 of report.json and report_roc.csv per supported pairing, recorded
@@ -255,10 +307,14 @@ GOLDEN_HYPER = {"cnn": {"epochs": 1, "batch": 4, "filters1": 2, "filters2": 3},
                 "lstm": {"epochs": 2, "hidden": 4, "dense": 3}}
 
 
-@pytest.fixture(scope="module")
-def golden_clips():
+def _golden_clip_set():
     labels = np.array([0, 1] * 6)
     return [synth_clip(int(label), 300 + i, 0.5) for i, label in enumerate(labels)], labels
+
+
+@pytest.fixture(scope="module")
+def golden_clips():
+    return _golden_clip_set()
 
 
 def _golden_report(golden_clips, model, feature):
@@ -306,3 +362,29 @@ def test_pow_form_gelu_reproduces_old_encoder_golden(golden_clips, monkeypatch):
     assert np.array_equal(fast.pooled_roc.points, slow.pooled_roc.points)
     np.testing.assert_allclose(fast.pooled_roc.thresholds, slow.pooled_roc.thresholds,
                                rtol=1e-12, atol=0)
+
+
+def check_pool_matches_serial(pairs=POOLED_PAIRS, golden_clips=None):
+    """The report of each pairing from the fold pool (two CPUs) and from the
+    serial loop (one CPU), byte for byte."""
+    golden_clips = golden_clips or _golden_clip_set()
+    for model, feature in pairs:
+        texts = []
+        for cpus in (2, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                usable_cpus(mp, cpus)
+                report = _golden_report(golden_clips, model, feature)
+            texts.append((report.to_json(), report.roc_csv()))
+        assert texts[0] == texts[1], (model, feature)
+
+
+@pytest.mark.parametrize("model,feature", POOLED_PAIRS)
+def test_pool_matches_serial_loop(golden_clips, model, feature):
+    check_pool_matches_serial([(model, feature)], golden_clips)
+
+
+@pytest.mark.parametrize("extra_env", [ONE_BLAS_THREAD, REDUCED_DISPATCH],
+                         ids=["one_blas_thread", "reduced_dispatch"])
+def test_pool_matches_serial_loop_in_subprocess(extra_env):
+    run_check("import test_pipeline; test_pipeline.check_pool_matches_serial()", extra_env,
+              timeout=300)
