@@ -171,21 +171,10 @@ def peak_normalize(clip: AudioClip) -> AudioClip:
     return AudioClip(clip.samples / peak, clip.sample_rate)
 
 
-@dataclass(frozen=True)
-class SynthParts:
-    """A synthetic clip split into its clean tone and additive noise."""
-
-    clean: np.ndarray
-    noise: np.ndarray
-    sample_rate: int = CANONICAL_RATE
-
-    @property
-    def mix(self) -> np.ndarray:
-        return self.clean + self.noise
-
-
-def synth_parts(class_label: int, seed: int, duration_s: float = 1.0) -> SynthParts:
-    """Generate clean/noise components for a synthetic screening clip.
+def synth_parts(class_label: int, seed: int,
+                duration_s: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The (clean, noise) components of a synthetic screening clip at
+    CANONICAL_RATE; the clip is their sum.
 
     class 0: harmonic tone, f0 in [110, 140] Hz, 20 dB SNR.
     class 1: harmonic tone, f0 in [160, 190] Hz, 5 dB SNR, amplitude
@@ -193,6 +182,8 @@ def synth_parts(class_label: int, seed: int, duration_s: float = 1.0) -> SynthPa
     """
     if class_label not in (0, 1):
         raise ValueError(f"class_label must be 0 or 1, got {class_label}")
+    if not np.isfinite(duration_s):
+        raise DegenerateInputError(f"duration is not a finite number of seconds: {duration_s}")
     if duration_s < SYNTH_MIN_DURATION_S:
         raise DegenerateInputError(
             f"duration {duration_s}s below minimum {SYNTH_MIN_DURATION_S}s")
@@ -220,10 +211,10 @@ def synth_parts(class_label: int, seed: int, duration_s: float = 1.0) -> SynthPa
 
     # shared headroom scale keeps the SNR intact and the mix within [-1, 1]
     scale = 0.95 / np.max(np.abs(clean + noise))
-    return SynthParts(clean=clean * scale, noise=noise * scale)
+    return clean * scale, noise * scale
 
 
 def synth_clip(class_label: int, seed: int, duration_s: float = 1.0) -> AudioClip:
     """Deterministic synthetic clip; see synth_parts for the recipe."""
-    parts = synth_parts(class_label, seed, duration_s)
-    return AudioClip(parts.mix, parts.sample_rate)
+    clean, noise = synth_parts(class_label, seed, duration_s)
+    return AudioClip(clean + noise, CANONICAL_RATE)

@@ -23,7 +23,7 @@ from .datasets import (DELAY_CUTOFF_DAYS, CohortFilter, apply_cohort,
                        generate_synthetic_corpus, parse_manifest)
 from .dsp import FrameParams, MelParams
 from .errors import ConfigError, CorruptFileError, VoxscreenError
-from .evaluation import (METRIC_NAMES, config_fingerprint, cross_validate,
+from .evaluation import (DEFAULT_FOLDS, config_fingerprint, cross_validate, report_text,
                          stratified_folds)
 from .features_io import FEATURE_KINDS, read_feature, write_feature
 from .learners.models import MODEL_KINDS
@@ -215,10 +215,7 @@ def cmd_cv(args) -> int:
     [report] = _run_cv(args, [("report", _hyper_from_args(args))])
     if args.cohort != "all":
         print(f"cohort: {args.cohort}")
-    cells = report.cells()
-    for name in METRIC_NAMES:
-        print(f"{name}: {cells[name]}")
-    print(f"pooled AUC: {report.pooled_roc.auc:.4f}")
+    print(report.to_table())
     return 0
 
 
@@ -262,16 +259,9 @@ def cmd_gamma_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     try:  # only the file's content can fail here: not JSON, a missing key, a wrong type
-        doc = json.loads(Path(args.report).read_text())
-        lines = [f"fingerprint: {doc['fingerprint']}",
-                 f"recipe: {json.dumps(doc['recipe'], sort_keys=True)}",
-                 f"k={doc['k']} seed={doc['seed']}",
-                 *(f"{name}: {doc['cells'][name]}" for name in METRIC_NAMES),
-                 f"pooled AUC: {doc['pooled_auc']:.4f}",
-                 f"mean fold AUC: {doc['mean_fold_auc']:.4f}"]
+        print(report_text(json.loads(Path(args.report).read_text())))
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptFileError(f"{args.report}: not a voxscreen report ({exc!r})") from None
-    print("\n".join(lines))
     return 0
 
 
@@ -281,16 +271,16 @@ def _add_common_feature_flags(p):
                    help="all | positives_within_days[:N] | covid_vs_cold_symptomatic")
     p.add_argument("--feature", required=True, choices=FEATURE_KINDS)
     p.add_argument("--out", required=True)
-    p.add_argument("--frame-length", type=int, default=2048, dest="frame_length")
-    p.add_argument("--hop-length", type=int, default=512, dest="hop_length")
-    p.add_argument("--n-mels", type=int, default=64, dest="n_mels")
-    p.add_argument("--n-mfcc", type=int, default=40, dest="n_mfcc")
+    p.add_argument("--frame-length", type=int, default=FrameParams().frame_length)
+    p.add_argument("--hop-length", type=int, default=FrameParams().hop_length)
+    p.add_argument("--n-mels", type=int, default=MelParams().n_mels)
+    p.add_argument("--n-mfcc", type=int, default=MelParams().n_mfcc)
 
 
 def _add_cv_flags(p):
     p.add_argument("--features", default=None,
                    help="directory of extracted .vxf files to reuse")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--force", action="store_true",
                    help="allow (model, feature) pairs outside the supported set")

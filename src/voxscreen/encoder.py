@@ -34,10 +34,6 @@ class EncoderConfig:
     channels: int = ENCODER_CHANNELS
 
     @property
-    def stride_product(self) -> int:
-        return int(np.prod(self.strides))
-
-    @property
     def receptive_field(self) -> int:
         n = 1
         for k, s in zip(reversed(self.kernels), reversed(self.strides)):

@@ -165,8 +165,9 @@ class EvaluationReport:
         return {name: "undefined" if agg is None else f"{agg[0]:.2f}±{agg[1]:.2f}"
                 for name, agg in self.aggregate().items()}
 
-    def to_json(self) -> str:
-        doc = {
+    def document(self) -> dict:
+        """The report as report.json holds it."""
+        return {
             "fingerprint": self.fingerprint,
             "recipe": self.recipe,
             "k": self.k,
@@ -180,21 +181,26 @@ class EvaluationReport:
             "pooled_auc": self.pooled_roc.auc,
             "mean_fold_auc": float(np.mean(self.fold_aucs)),
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.document(), indent=2, sort_keys=True)
 
     def to_table(self) -> str:
-        cells = self.cells()
-        lines = ["metric        value (mean±std over folds)",
-                 "------        ---------------------------"]
-        for name in METRIC_NAMES:
-            lines.append(f"{name:<13} {cells[name]}")
-        lines.append(f"{'pooled AUC':<13} {self.pooled_roc.auc:.4f}")
-        lines.append(f"{'mean fold AUC':<13} {float(np.mean(self.fold_aucs)):.4f}")
-        return "\n".join(lines)
+        return report_text(self.document())
 
     def roc_csv(self) -> str:
         rows = zip(self.pooled_roc.thresholds, self.pooled_roc.points)
         return "".join(["threshold,fpr,tpr\n", *(f"{t},{fpr},{tpr}\n" for t, (fpr, tpr) in rows)])
+
+
+def report_text(doc: dict) -> str:
+    """The text form of a report document: report.txt, and what cv and report print."""
+    return "\n".join([f"fingerprint: {doc['fingerprint']}",
+                      f"recipe: {json.dumps(doc['recipe'], sort_keys=True)}",
+                      f"k={doc['k']} seed={doc['seed']}",
+                      *(f"{name}: {doc['cells'][name]}" for name in METRIC_NAMES),
+                      f"pooled AUC: {doc['pooled_auc']:.4f}",
+                      f"mean fold AUC: {doc['mean_fold_auc']:.4f}"])
 
 
 def config_fingerprint(payload: dict) -> str:

@@ -1,10 +1,11 @@
-"""Bias-corrected Adam over a dict of named parameter arrays."""
+"""Bias-corrected Adam over a dict of named parameter arrays, and the
+minibatch loop both networks train with."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NonFiniteGradientError, ShapeMismatchError
+from ..errors import NonFiniteGradientError, NonFiniteLossError, ShapeMismatchError
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -44,3 +45,23 @@ class Adam:
             self.m[name], self.v[name] = m, v
             out[name] = theta - self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         return out
+
+
+def train_minibatches(params: dict[str, np.ndarray], n: int, config, rng,
+                      batch_loss) -> dict[str, np.ndarray]:
+    """Adam at config.lr for config.epochs passes over n examples, each pass
+    in a fresh rng permutation cut into batches of config.batch.
+
+    batch_loss(params, take) returns (loss, grads_thunk) for the examples in
+    take. The loss is checked before grads_thunk() runs the backward pass,
+    and a non-finite one stops training with NonFiniteLossError.
+    """
+    opt = Adam(lr=config.lr)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch):
+            loss, grads = batch_loss(params, order[start:start + config.batch])
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(f"loss diverged at step {opt.t}: {loss!r}")
+            params = opt.step(params, grads())
+    return params

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NonFiniteLossError, SingleClassDataError
-from .adam import Adam
+from ..errors import SingleClassDataError
+from .adam import train_minibatches
 from .layers import (
     conv2d_backward,
     conv2d_forward,
@@ -55,7 +55,7 @@ class CnnModel:
         flat = np.concatenate([_stages(self.params, images[s:s + SCORE_CHUNK], self.config)
                                for s in range(0, len(images), SCORE_CHUNK)])
         logits = dense_forward(flat, self.params["wd"], self.params["bd"])
-        return softmax(logits, axis=1)[:, 1]
+        return softmax(logits)[:, 1]
 
 
 def init_cnn_params(input_shape, cfg: CnnConfig, rng) -> dict[str, np.ndarray]:
@@ -128,20 +128,12 @@ def train_cnn(images, labels, seed: int, config: CnnConfig) -> CnnModel:
     params = init_cnn_params(images.shape[1:], config, rng)
     params = {k: v.astype(np.float32) for k, v in params.items()}
     onehot_all = np.eye(2, dtype=np.float32)[labels]
-    opt = Adam(lr=config.lr)
 
-    n = len(images)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch):
-            take = order[start:start + config.batch]
-            logits, cache = cnn_forward(params, images[take], config,
-                                        training=True, rng=rng)
-            loss, grad_logits = softmax_cross_entropy(logits, onehot_all[take])
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(
-                    f"loss diverged at step {opt.t}: {loss!r}")
-            grads = cnn_backward(params, cache, grad_logits)
-            params = opt.step(params, grads)
+    def batch_loss(params, take):
+        logits, cache = cnn_forward(params, images[take], config, training=True, rng=rng)
+        loss, grad_logits = softmax_cross_entropy(logits, onehot_all[take])
+        return loss, lambda: cnn_backward(params, cache, grad_logits)
+
+    params = train_minibatches(params, len(images), config, rng, batch_loss)
     return CnnModel(params={k: v.astype(np.float64) for k, v in params.items()},
                     config=config)

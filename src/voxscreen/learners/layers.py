@@ -20,11 +20,6 @@ def sigmoid(x):
     return out
 
 
-def sigmoid_grad(y):
-    """Derivative expressed through the forward output y."""
-    return y * (1.0 - y)
-
-
 def relu(x):
     return np.maximum(x, 0.0)
 
@@ -54,18 +49,11 @@ def gelu(x):
     return out
 
 
-def gelu_grad(x):
-    x = np.asarray(x, dtype=np.float64)
-    inner = GELU_C * (x + 0.044715 * x ** 3)
-    t = np.tanh(inner)
-    d_inner = GELU_C * (1.0 + 3.0 * 0.044715 * x ** 2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
-
-
-def softmax(x, axis=-1):
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+def softmax(x):
+    """Softmax over the last axis."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
@@ -183,7 +171,7 @@ def dropout_backward(mask, grad_out):
 
 def softmax_cross_entropy(logits, onehot):
     """Mean categorical cross-entropy straight from logits."""
-    p = softmax(logits, axis=1)
+    p = softmax(logits)
     n = logits.shape[0]
     loss = -np.sum(onehot * np.log(np.maximum(p, 1e-300))) / n
     return loss, (p - onehot) / n

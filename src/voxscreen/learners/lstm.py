@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptySequenceError, NonFiniteLossError, SingleClassDataError
-from .adam import Adam
+from ..errors import EmptySequenceError, SingleClassDataError
+from .adam import train_minibatches
 from .layers import (
     bce_from_logits,
     dense_backward,
@@ -171,16 +171,11 @@ def train_lstm(sequences, labels, seed: int, config: LstmConfig) -> LstmModel:
 
     rng = np.random.default_rng(seed)
     params = init_lstm_params(xs.shape[2], config, rng)
-    opt = Adam(lr=config.lr)
-    n = len(xs)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch):
-            take = order[start:start + config.batch]
-            loss, cache, dz2 = lstm_loss_grad(params, xs[take], labels[take],
-                                              config, training=True, rng=rng)
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(f"loss diverged at step {opt.t}: {loss!r}")
-            grads = lstm_backward(params, cache, dz2, config)
-            params = opt.step(params, grads)
+
+    def batch_loss(params, take):
+        loss, cache, dz2 = lstm_loss_grad(params, xs[take], labels[take],
+                                          config, training=True, rng=rng)
+        return loss, lambda: lstm_backward(params, cache, dz2, config)
+
+    params = train_minibatches(params, len(xs), config, rng, batch_loss)
     return LstmModel(params=params, config=config)

@@ -43,7 +43,7 @@ def _ranged(cast, ok, rule: str) -> Callable:
 
 
 COUNT = _ranged(int, lambda v: v >= 1, "must be at least 1")
-POSITIVE = _ranged(float, lambda v: v > 0, "must be greater than 0")
+POSITIVE = _ranged(float, lambda v: 0 < v < np.inf, "must be finite and greater than 0")
 FRACTION = _ranged(float, lambda v: 0 <= v < 1, "must be in [0, 1)")
 
 
@@ -88,7 +88,7 @@ class TrainedModel:
 
     kind: str  # a key of MODELS
     model: object
-    standardizer: Standardizer | None = None
+    standardizer: Standardizer | None
 
     def score_batch(self, features) -> np.ndarray:
         """Scores in [0, 1] for a stacked feature array."""

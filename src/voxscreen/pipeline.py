@@ -64,10 +64,6 @@ def feature_from_matrix(matrix: np.ndarray, feature_kind: str) -> np.ndarray:
     raise ConfigError(f"unknown feature kind {feature_kind!r}")
 
 
-def extract_feature(clip: AudioClip, feature_kind: str, **kwargs):
-    return feature_from_matrix(extract_matrix(clip, feature_kind, **kwargs), feature_kind)
-
-
 def validate_recipe(recipe: dict) -> dict:
     model = recipe.get("model")
     feature = recipe.get("feature")

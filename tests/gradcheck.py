@@ -1,8 +1,25 @@
-"""Central finite-difference gradient verification harness."""
+"""Central finite-difference gradient verification harness, and the
+analytic activation derivatives it checks: nothing in voxscreen trains
+through GELU or takes sigmoid's derivative from its output."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from voxscreen.learners.layers import GELU_C
+
+
+def sigmoid_grad(y):
+    """Derivative expressed through the forward output y."""
+    return y * (1.0 - y)
+
+
+def gelu_grad(x):
+    x = np.asarray(x, dtype=np.float64)
+    inner = GELU_C * (x + 0.044715 * x ** 3)
+    t = np.tanh(inner)
+    d_inner = GELU_C * (1.0 + 3.0 * 0.044715 * x ** 2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
 
 
 def numeric_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

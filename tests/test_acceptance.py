@@ -7,6 +7,7 @@ it holds; tolerances are pinned here, not tuned elsewhere. Run with
 """
 
 import json
+import math
 import pathlib
 import time
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gradcheck import max_relative_error, numeric_grad
+from gradcheck import gelu_grad, max_relative_error, numeric_grad, sigmoid_grad
 
 from voxscreen.audio_io import AudioClip, synth_clip
 from voxscreen.datasets import (
@@ -36,14 +37,12 @@ from voxscreen.learners.layers import (
     dense_forward,
     dropout_forward,
     gelu,
-    gelu_grad,
     mae_loss,
     maxpool2_backward,
     maxpool2_forward,
     relu,
     relu_grad,
     sigmoid,
-    sigmoid_grad,
     softmax,
     softmax_cross_entropy,
 )
@@ -53,7 +52,7 @@ from voxscreen.learners.lstm import (
     lstm_backward,
     lstm_loss_grad,
 )
-from voxscreen.pipeline import extract_feature, load_clip
+from voxscreen.pipeline import extract_matrix, feature_from_matrix, load_clip
 from voxscreen.render import fit_standardizer
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_mfcc_seed7.json"
@@ -76,8 +75,10 @@ def gate_data(tmp_path_factory):
     examples = parse_manifest(text)
     labels = np.array([ex.label for ex in examples])
     clips = [load_clip((root / ex.clip_path).read_bytes()) for ex in examples]
-    vectors = [extract_feature(c, "mfcc_vector") for c in clips]
-    images = [extract_feature(c, "melspec_image") for c in clips]
+    vectors = [feature_from_matrix(extract_matrix(c, "mfcc_vector"), "mfcc_vector")
+               for c in clips]
+    images = [feature_from_matrix(extract_matrix(c, "melspec_image"), "melspec_image")
+              for c in clips]
     return {"labels": labels, "vectors": vectors, "images": images,
             "prep_seconds": time.time() - t0}
 
@@ -137,9 +138,9 @@ def test_criterion_3_gradient_checks():
 
     x = rng.normal(size=(3, 4))
     r = rng.normal(size=(3, 4))
-    p = softmax(x, axis=1)
+    p = softmax(x)
     analytic = p * (r - np.sum(p * r, axis=1, keepdims=True))
-    check("softmax", analytic, lambda v: np.sum(softmax(v, axis=1) * r), x)
+    check("softmax", analytic, lambda v: np.sum(softmax(v) * r), x)
 
     xd = rng.normal(size=(4, 5))
     wd = rng.normal(size=(5, 3))
@@ -259,7 +260,7 @@ def test_criterion_6_encoder_geometry():
     """49 frames from one second, 20 ms framerate, shape oracle agrees."""
     assert encoder_output_length(16000) == 49
     cfg = EncoderConfig()
-    assert cfg.stride_product == 320
+    assert math.prod(cfg.strides) == 320
     assert 320 / 16000 == 0.02  # seconds per output frame
     small = EncoderConfig(channels=8)
     rng = np.random.default_rng(505)

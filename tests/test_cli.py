@@ -70,6 +70,13 @@ class TestSynth:
     def test_zero_class_is_usage_error(self, tmp_path):
         assert main(["synth", "0", "10", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration_is_an_error_line(self, tmp_path, capsys, duration):
+        assert main(["synth", "1", "1", "--duration", duration,
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: duration is not a finite number of seconds: {duration}\n"
+
 
 class TestExtract:
     def test_vector_features(self, corpus, tmp_path):
@@ -188,7 +195,8 @@ class TestCv:
                      "--feature", "mfcc_vector", "--model", "logreg",
                      "--k", "2", "--seed", "1", "--out", str(out)])
         assert code == 0
-        assert "covid_vs_cold_symptomatic" in capsys.readouterr().out
+        assert capsys.readouterr().out == \
+            "cohort: covid_vs_cold_symptomatic\n" + (out / "report.txt").read_text()
 
     def test_unsupported_pair_rejected(self, corpus, tmp_path, capsys):
         code = main(["cv", "--manifest", str(corpus / "manifest.csv"),
@@ -416,6 +424,17 @@ class TestGammaSweep:
         assert "gamma_0.001.json" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
+    def test_infinite_gamma_refused_before_any_fold(self, corpus, tmp_path, capsys,
+                                                    monkeypatch):
+        calls = _counting(monkeypatch, "cross_validate")
+        out = tmp_path / "sweep"
+        assert main(["gamma-sweep", "--manifest", str(corpus / "manifest.csv"),
+                     "--feature", "mfcc_vector", "--gammas", "1e-3,inf",
+                     "--k", "4", "--seed", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: svm hyperparameter gamma=inf: "
+                                           "must be finite and greater than 0\n")
+        assert calls == [] and not out.exists()
+
     def test_always_svm(self, corpus, tmp_path):
         with pytest.raises(SystemExit):
             main(["gamma-sweep", "--model", "svm", "--manifest", str(corpus / "manifest.csv"),
@@ -425,14 +444,20 @@ class TestGammaSweep:
 
 class TestReport:
     def test_pretty_print(self, corpus, tmp_path, capsys):
+        """One renderer: report prints report.txt exactly, and cv prints the
+        same text (after a cohort line, when the cohort is not all)."""
         out = tmp_path / "pp"
-        main(["cv", "--manifest", str(corpus / "manifest.csv"),
-              "--feature", "mfcc_vector", "--model", "logreg",
-              "--k", "4", "--seed", "1", "--out", str(out)])
         capsys.readouterr()
+        assert main(["cv", "--manifest", str(corpus / "manifest.csv"),
+                     "--feature", "mfcc_vector", "--model", "logreg",
+                     "--k", "4", "--seed", "1", "--out", str(out)]) == 0
+        cv_said = capsys.readouterr().out
         assert main(["report", str(out / "report.json")]) == 0
         said = capsys.readouterr().out
-        assert "fingerprint" in said and "pooled AUC" in said
+        assert said == cv_said == (out / "report.txt").read_text()
+        lines = said.splitlines()
+        assert len(lines) == 10 and lines[0].startswith("fingerprint: ")
+        assert "pooled AUC" in said and lines[-1].startswith("mean fold AUC: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,7 +35,7 @@ class TestCnnForward:
         params = init_cnn_params((24, 24, 3), cfg, rng)
         x = rng.uniform(0, 1, (5, 24, 24, 3))
         logits, _ = cnn_forward(params, x, cfg, training=False, rng=None)
-        probs = softmax(logits, axis=1)
+        probs = softmax(logits)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_class_scores_complement(self):
@@ -44,7 +44,7 @@ class TestCnnForward:
         params = init_cnn_params((16, 16, 3), cfg, rng)
         x = rng.uniform(0, 1, (3, 16, 16, 3))
         logits, _ = cnn_forward(params, x, cfg, training=False, rng=None)
-        probs = softmax(logits, axis=1)
+        probs = softmax(logits)
         assert np.allclose(probs[:, 1], 1.0 - probs[:, 0], atol=1e-12)
 
     @pytest.mark.parametrize("training", [False, True])
@@ -146,6 +146,13 @@ class TestCnnGradients:
 
 
 class TestTrainCnn:
+    def test_nan_input_stops_before_backward(self):
+        images, _ = bright_half_images(np.random.default_rng(3), 4, size=12)
+        images[2] = np.nan
+        with pytest.raises(NonFiniteLossError, match=r"loss diverged at step 0: .*nan"):
+            train_cnn(images, np.array([0, 1, 0, 1]), seed=0,
+                      config=CnnConfig(filters1=2, filters2=2, epochs=1, batch=4))
+
     def test_bright_half_images_learned(self):
         """64 images, class = bright top vs bottom half, 100 epochs."""
         rng = np.random.default_rng(3)

@@ -1,5 +1,7 @@
 """Convolutional encoder geometry, determinism, GELU equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ class TestOutputLength:
 
     def test_one_stride_product_step_adds_one_frame(self):
         cfg = EncoderConfig()
-        assert cfg.stride_product == 320
+        assert math.prod(cfg.strides) == 320
         assert encoder_output_length(16320) - encoder_output_length(16000) == 1
 
     def test_twenty_ms_framerate_at_16k(self):

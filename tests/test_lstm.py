@@ -10,7 +10,7 @@ import oracles
 from gradcheck import max_relative_error, numeric_grad
 from test_layers import ONE_BLAS_THREAD, REDUCED_DISPATCH, run_check
 
-from voxscreen.errors import EmptySequenceError, SingleClassDataError
+from voxscreen.errors import EmptySequenceError, NonFiniteLossError, SingleClassDataError
 from voxscreen.learners import lstm, train_lstm
 from voxscreen.learners.layers import (dense_backward, dense_forward, dropout_backward,
                                        dropout_forward, relu, relu_grad, sigmoid)
@@ -85,6 +85,13 @@ class TestGradients:
 
 
 class TestTrainLstm:
+    def test_nan_input_stops_before_backward(self):
+        xs, _ = ramp_sequences(np.random.default_rng(9), 4, length=6)
+        xs[2, 3] = np.nan
+        with pytest.raises(NonFiniteLossError, match=r"loss diverged at step 0: .*nan"):
+            train_lstm(xs, np.array([0, 1, 0, 1]), seed=0,
+                       config=LstmConfig(hidden=4, dense=3, epochs=1, batch=4))
+
     def test_ramp_direction_learned(self):
         """100 ramp sequences, ascending vs descending."""
         rng = np.random.default_rng(6)

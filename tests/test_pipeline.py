@@ -20,12 +20,16 @@ from voxscreen.learners import CnnConfig, LstmConfig, layers
 from voxscreen.learners.models import MODELS
 from voxscreen.pipeline import (
     ALLOWED_PAIRS,
-    extract_feature,
     extract_matrix,
     feature_from_matrix,
     resolve_recipe,
     validate_recipe,
 )
+
+
+def extract_feature(clip, kind, **kwargs):
+    """One example's in-memory feature, built as the CLI builds it."""
+    return feature_from_matrix(extract_matrix(clip, kind, **kwargs), kind)
 
 
 class TestExtractFeature:
@@ -104,7 +108,8 @@ class TestRecipeValidation:
         ("logreg", "lr", -1.0), ("svm", "C", 0.0), ("svm", "gamma", -1.0),
         ("svm", "tol", 0.0), ("svm", "max_passes", 0), ("cnn", "dropout", 1.5),
         ("lstm", "dropout", 1.0), ("lstm", "dropout", -0.1), ("svm", "gamma", float("nan")),
-        ("logreg", "epochs", "many"), ("lstm", "loss", "huber"),
+        ("logreg", "epochs", "many"), ("lstm", "loss", "huber"), ("logreg", "lr", float("inf")),
+        ("svm", "C", float("inf")), ("svm", "gamma", float("inf")), ("svm", "tol", float("inf")),
     ])
     def test_hyper_values_out_of_range(self, model, key, value):
         feature = "melspec_image" if model == "cnn" else "mfcc_vector"
