@@ -28,6 +28,7 @@ SYNTH_F0_RANGE = {0: (110.0, 140.0), 1: (160.0, 190.0)}
 SYNTH_SNR_DB = {0: 20.0, 1: 5.0}
 SYNTH_N_HARMONICS = 5
 SYNTH_MIN_DURATION_S = 0.5
+SYNTH_MAX_DURATION_S = 600.0  # crowd-sourced clips last seconds; this bounds the arrays
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,9 @@ def synth_parts(class_label: int, seed: int,
         raise ValueError(f"class_label must be 0 or 1, got {class_label}")
     if not np.isfinite(duration_s):
         raise DegenerateInputError(f"duration is not a finite number of seconds: {duration_s}")
-    if duration_s < SYNTH_MIN_DURATION_S:
-        raise DegenerateInputError(
-            f"duration {duration_s}s below minimum {SYNTH_MIN_DURATION_S}s")
+    if not SYNTH_MIN_DURATION_S <= duration_s <= SYNTH_MAX_DURATION_S:
+        raise DegenerateInputError(f"duration {duration_s}s outside "
+                                   f"[{SYNTH_MIN_DURATION_S}, {SYNTH_MAX_DURATION_S}] s")
 
     rng = np.random.default_rng([class_label, seed & 0xFFFFFFFF])
     n = int(round(duration_s * CANONICAL_RATE))

@@ -19,14 +19,13 @@ from urllib.parse import quote
 
 import numpy as np
 
-from .datasets import (DELAY_CUTOFF_DAYS, CohortFilter, apply_cohort,
-                       generate_synthetic_corpus, parse_manifest)
+from .datasets import apply_cohort, generate_synthetic_corpus, parse_manifest
 from .dsp import FrameParams, MelParams
 from .errors import ConfigError, CorruptFileError, VoxscreenError
 from .evaluation import (DEFAULT_FOLDS, config_fingerprint, cross_validate, report_text,
                          stratified_folds)
 from .features_io import FEATURE_KINDS, read_feature, write_feature
-from .learners.models import MODEL_KINDS
+from .learners.models import MODELS
 from .pipeline import extract_matrix, feature_from_matrix, load_clip, validate_recipe
 
 
@@ -34,20 +33,8 @@ def _default_seed() -> int:
     return int(os.environ.get("VOXSCREEN_SEED", "0"))
 
 
-def _cohort_from_flag(flag: str) -> CohortFilter:
-    if flag in ("all", "covid_vs_cold_symptomatic"):
-        return CohortFilter(flag)
-    kind, _, arg = flag.partition(":")
-    if kind == "positives_within_days":
-        try:
-            return CohortFilter(kind, days=int(arg or DELAY_CUTOFF_DAYS))
-        except ValueError:
-            raise ConfigError(f"cohort {flag!r} needs a whole number of days > 0") from None
-    raise ConfigError(f"unknown cohort {flag!r}")
-
-
 def _load_examples(manifest_path: str, cohort: str):
-    return apply_cohort(parse_manifest(Path(manifest_path).read_text()), _cohort_from_flag(cohort))
+    return apply_cohort(parse_manifest(Path(manifest_path).read_text()), cohort)
 
 
 def _write_fingerprint(out_dir: Path, payload: dict) -> None:
@@ -184,8 +171,6 @@ def _run_cv(args, runs: list[tuple[str, dict]], **fingerprinted) -> list:
     the run's features. Writes <label>.json, .txt and _roc.csv for each, then
     a fingerprint.json of every input the reports depend on. An older
     fingerprint goes first, so a run that stops partway leaves none."""
-    if args.k < 2:
-        raise ConfigError(f"--k {args.k}: cross-validation needs at least 2 folds")
     examples = _load_examples(args.manifest, args.cohort)
     recipes = [(label, validate_recipe(
         {"model": args.model, "feature": args.feature, "hyper": hyper, "force": args.force}))
@@ -301,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("cv", help="stratified cross-validated evaluation")
-    p.add_argument("--model", required=True, choices=MODEL_KINDS)
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--gamma", type=float, default=None)
     _add_cv_flags(p)
     p.set_defaults(fn=cmd_cv)

@@ -19,6 +19,7 @@ from .audio_io import save_wav, synth_clip
 from .errors import (
     BadDelayError,
     BadLabelError,
+    ConfigError,
     HeaderMismatchError,
     ManifestError,
     MissingDelayMetadataWarning,
@@ -45,20 +46,6 @@ class LabeledExample:
     symptoms: frozenset[str] = frozenset()
     test_delay_days: int | None = None
     hospitalized: bool | None = None
-
-
-@dataclass(frozen=True)
-class CohortFilter:
-    """kind: all | positives_within_days | covid_vs_cold_symptomatic."""
-
-    kind: str = "all"
-    days: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("all", "positives_within_days", "covid_vs_cold_symptomatic"):
-            raise ValueError(f"unknown cohort kind {self.kind!r}")
-        if self.kind == "positives_within_days" and (self.days is None or self.days <= 0):
-            raise ValueError("positives_within_days needs days > 0")
 
 
 def parse_manifest(text: str) -> list[LabeledExample]:
@@ -129,27 +116,36 @@ def serialize_manifest(examples: list[LabeledExample]) -> str:
     return out.getvalue()
 
 
-def apply_cohort(examples: list[LabeledExample],
-                 f: CohortFilter) -> list[LabeledExample]:
-    """Membership-only filtering; rows pass through unmodified, in order."""
-    if f.kind == "all":
+def apply_cohort(examples: list[LabeledExample], cohort: str) -> list[LabeledExample]:
+    """The rows in cohort all | positives_within_days[:N] (N defaults to
+    DELAY_CUTOFF_DAYS) | covid_vs_cold_symptomatic, unmodified, in order."""
+    if cohort == "all":
         return list(examples)
-    if f.kind == "positives_within_days":
-        kept, dropped = [], 0
-        for ex in examples:
-            if ex.label == 0:
-                kept.append(ex)
-            elif ex.test_delay_days is None:
-                dropped += 1
-            elif ex.test_delay_days <= f.days:
-                kept.append(ex)
-        if dropped:
-            warnings.warn(
-                f"{dropped} positive rows lack delay metadata and were excluded",
-                MissingDelayMetadataWarning)
-        return kept
-    return [ex for ex in examples
-            if ex.label == 1 or (ex.symptoms & COLD_SYMPTOMS)]
+    if cohort == "covid_vs_cold_symptomatic":
+        return [ex for ex in examples
+                if ex.label == 1 or (ex.symptoms & COLD_SYMPTOMS)]
+    kind, _, arg = cohort.partition(":")
+    if kind != "positives_within_days":
+        raise ConfigError(f"unknown cohort {cohort!r}")
+    try:
+        days = int(arg or DELAY_CUTOFF_DAYS)
+    except ValueError:
+        days = 0
+    if days <= 0:
+        raise ConfigError(f"cohort {cohort!r} needs a whole number of days > 0")
+    kept, dropped = [], 0
+    for ex in examples:
+        if ex.label == 0:
+            kept.append(ex)
+        elif ex.test_delay_days is None:
+            dropped += 1
+        elif ex.test_delay_days <= days:
+            kept.append(ex)
+    if dropped:
+        warnings.warn(
+            f"{dropped} positive rows lack delay metadata and were excluded",
+            MissingDelayMetadataWarning)
+    return kept
 
 
 def generate_synthetic_corpus(n_pos: int, n_neg: int, seed: int, out_dir,

@@ -26,7 +26,7 @@ class EmptyDataError(VoxscreenError):
 
 
 class DegenerateInputError(VoxscreenError):
-    """Input too short or otherwise below the operation's minimum."""
+    """Input too short, too long or otherwise outside the operation's range."""
 
 
 # --- DSP ---

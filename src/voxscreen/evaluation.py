@@ -45,7 +45,7 @@ def stratified_folds(labels, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldPlan:
     """
     labels = np.asarray(labels)
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise ConfigError(f"k={k}: cross-validation needs at least 2 folds")
     assignments = np.full(len(labels), -1, dtype=np.int64)
     rng = np.random.default_rng(seed)
     for cls in (0, 1):

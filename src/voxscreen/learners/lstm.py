@@ -74,7 +74,8 @@ def init_lstm_params(input_dim: int, cfg: LstmConfig, rng) -> dict[str, np.ndarr
 
 
 def lstm_forward(params, xs, cfg: LstmConfig, training: bool, rng):
-    """Scores in (0, 1) for xs [n, T, D], plus the backward cache.
+    """Scores in (0, 1) for xs [n, T, D], plus the backward cache. Its per-step
+    entries are kept only when training: scoring holds one step at a time.
 
     Both directions run as one recurrence over [2, n, .] blocks: index 0
     reads xs forwards, index 1 backwards. A stacked matmul makes the same
@@ -98,7 +99,8 @@ def lstm_forward(params, xs, cfg: LstmConfig, training: bool, rng):
         o = sigmoid(z[..., 3 * h:])
         c_new = i_f[..., h:] * c + i_f[..., :h] * g
         tc = np.tanh(c_new)
-        steps.append((x_t, state, c, i_f, g, o, tc))
+        if training:
+            steps.append((x_t, state, c, i_f, g, o, tc))
         state, c = o * tc, c_new
     merged = state[0] + state[1]
     dropped, mask = dropout_forward(merged, cfg.dropout, rng, training)

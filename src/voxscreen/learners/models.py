@@ -27,6 +27,7 @@ class ModelSpec:
     under a second, and pooling made those folds slower.
     """
 
+    features: tuple[str, ...]   # the feature kinds it runs on without force
     images: bool                # reads [n, h, w] gray planes, else standardized [n, d] rows
     pooled: bool                # cross_validate trains its folds in a pool of forked workers
     hyper: dict[str, Callable]  # recipe hyper keys it reads -> cast that range-checks
@@ -49,25 +50,25 @@ FRACTION = _ranged(float, lambda v: 0 <= v < 1, "must be in [0, 1)")
 
 MODELS = {
     "logreg": ModelSpec(
-        images=False, pooled=False, hyper={"epochs": COUNT, "lr": POSITIVE},
+        features=("mfcc_vector", "encoder"), images=False, pooled=False,
+        hyper={"epochs": COUNT, "lr": POSITIVE},
         fit=lambda x, y, seed, h: train_logreg(x, y, **h)),
     "svm": ModelSpec(
-        images=False, pooled=False,
+        features=("mfcc_vector",), images=False, pooled=False,
         hyper={"C": POSITIVE, "gamma": POSITIVE, "tol": POSITIVE, "max_passes": COUNT},
         fit=lambda x, y, seed, h: train_svm_smo(x, y, **h)),
     "cnn": ModelSpec(
-        images=True, pooled=True,
+        features=("mfcc_image", "melspec_image"), images=True, pooled=True,
         hyper={"filters1": COUNT, "filters2": COUNT, "dropout": FRACTION, "lr": POSITIVE,
                "epochs": COUNT, "batch": COUNT},
         fit=lambda x, y, seed, h: train_cnn(x, y, seed, CnnConfig(**h))),
     "lstm": ModelSpec(
-        images=False, pooled=True,
+        features=("mfcc_vector",), images=False, pooled=True,
         hyper={"hidden": COUNT, "dense": COUNT, "dropout": FRACTION, "lr": POSITIVE,
                "loss": _ranged(str, lambda v: v in ("mae", "bce"), "must be mae or bce"),
                "epochs": COUNT, "batch": COUNT},
         fit=lambda x, y, seed, h: train_lstm(x, y, seed, LstmConfig(**h))),
 }
-MODEL_KINDS = tuple(MODELS)
 
 
 def model_input(features, images: bool) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Recipe plumbing: clip loading, feature extraction per kind, and the
 recipe resolution behind cross_validate and the CLI.
 
-Supported (model, feature) pairings mirror the screening experiments:
-LR / SVM / LSTM read mean-MFCC vectors, the CNN reads MFCC or
-Mel-spectrogram images, and a logistic head reads mean-pooled encoder
-features. Anything else needs force=True in the recipe, and even then the
-model must read the feature's shape: images for the CNN, vectors otherwise.
+The (model, feature) pairings in each ModelSpec.features mirror the
+screening experiments: LR / SVM / LSTM read mean-MFCC vectors, the CNN
+reads MFCC or Mel-spectrogram images, and a logistic head reads
+mean-pooled encoder features. Anything else needs force=True in the
+recipe, and even then the model must read the feature's shape: images for
+the CNN, vectors otherwise.
 """
 
 from __future__ import annotations
@@ -17,17 +18,8 @@ from .dsp import FrameParams, MelParams, mel_spectrogram, mfcc, mfcc_mean_vector
 from .encoder import EncoderConfig, encoder_apply
 from .errors import ConfigError, FeatureKindMismatchError
 from .features_io import FEATURE_KINDS, IMAGE_KINDS
-from .learners.models import MODEL_KINDS, MODELS, TrainedModel, model_input
+from .learners.models import MODELS, TrainedModel, model_input
 from .render import fit_standardizer, render_image
-
-ALLOWED_PAIRS = {
-    ("logreg", "mfcc_vector"),
-    ("svm", "mfcc_vector"),
-    ("lstm", "mfcc_vector"),
-    ("cnn", "mfcc_image"),
-    ("cnn", "melspec_image"),
-    ("logreg", "encoder"),
-}
 
 
 def load_clip(data: bytes) -> AudioClip:
@@ -55,23 +47,22 @@ def extract_matrix(clip: AudioClip, feature_kind: str,
 def feature_from_matrix(matrix: np.ndarray, feature_kind: str) -> np.ndarray:
     """One example's in-memory feature: a [d] row, or an image kind's [150, 150]
     gray plane. Stacked, these are the array cross_validate and the models read."""
-    if feature_kind == "mfcc_vector":
-        return matrix.ravel()
     if feature_kind in IMAGE_KINDS:
         return matrix
-    if feature_kind == "encoder":
-        return matrix.mean(axis=0)  # mean-pool the frame sequence
+    if feature_kind in FEATURE_KINDS:  # a vector kind: mean-pool its rows, from -0.0, the
+        # exact additive identity, so a [1, d] row comes back as itself, signs and all
+        return np.add.reduce(matrix, axis=0, initial=-0.0) / len(matrix)
     raise ConfigError(f"unknown feature kind {feature_kind!r}")
 
 
 def validate_recipe(recipe: dict) -> dict:
     model = recipe.get("model")
     feature = recipe.get("feature")
-    if model not in MODEL_KINDS:
+    if model not in MODELS:
         raise ConfigError(f"unknown model kind {model!r}")
     if feature not in FEATURE_KINDS:
         raise ConfigError(f"unknown feature kind {feature!r}")
-    if (model, feature) not in ALLOWED_PAIRS and not recipe.get("force", False):
+    if feature not in MODELS[model].features and not recipe.get("force", False):
         raise ConfigError(
             f"({model}, {feature}) is not one of the supported pairings; "
             "pass force=true to run it anyway")

@@ -350,3 +350,11 @@ def conv2d_grad_x(x_shape, w, grad_out):
         for j in range(kw):
             grad_x[:, i:i + h_out, j:j + w_out, :] += grad_cols[:, :, :, :, i, j]
     return grad_x
+
+
+# --- vector pooling ---
+
+def pool_vector(matrix, feature_kind):
+    """feature_from_matrix's vector kinds as first written: an mfcc_vector's
+    [1, d] row by ravel, an encoder's [n, c] frames by mean(axis=0)."""
+    return matrix.ravel() if feature_kind == "mfcc_vector" else matrix.mean(axis=0)

@@ -19,7 +19,6 @@ from gradcheck import gelu_grad, max_relative_error, numeric_grad, sigmoid_grad
 
 from voxscreen.audio_io import AudioClip, synth_clip
 from voxscreen.datasets import (
-    CohortFilter,
     apply_cohort,
     generate_synthetic_corpus,
     parse_manifest,
@@ -202,7 +201,7 @@ def test_criterion_3_gradient_checks():
     xs = rng.normal(size=(3, 5, 2))
     ys = np.array([0.0, 1.0, 1.0])
     lparams = init_lstm_params(2, lcfg, rng)
-    _, lcache, dz2 = lstm_loss_grad(lparams, xs, ys, lcfg, False, None)
+    _, lcache, dz2 = lstm_loss_grad(lparams, xs, ys, lcfg, True, None)
     lgrads = lstm_backward(lparams, lcache, dz2, lcfg)
     for name in lparams:
         def f_lstm(v, n=name):
@@ -358,11 +357,11 @@ def test_criterion_10_cohort_arithmetic():
     examples = parse_manifest("\n".join(lines) + "\n")
     assert len(examples) == 893
 
-    recent = apply_cohort(examples, CohortFilter("positives_within_days", days=14))
+    recent = apply_cohort(examples, "positives_within_days:14")
     assert sum(e.label for e in recent) == 141
     assert sum(1 - e.label for e in recent) == 585
 
-    cold = apply_cohort(examples, CohortFilter("covid_vs_cold_symptomatic"))
+    cold = apply_cohort(examples, "covid_vs_cold_symptomatic")
     assert len(cold) == 524
     assert sum(e.label for e in cold) == 308
     report(10, "141 positives within 14 days; cold cohort = 308 + 216 = 524")

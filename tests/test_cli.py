@@ -13,6 +13,7 @@ import pytest
 import voxscreen.cli
 from test_audio_io import float_wav_bytes
 from test_layers import run_check, usable_cpus
+from voxscreen import audio_io
 from voxscreen.audio_io import load_wav
 from voxscreen.cli import build_parser, main
 from voxscreen.errors import ConfigError, CorruptFileError, NonFiniteLossError
@@ -76,6 +77,21 @@ class TestSynth:
                      "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == \
             f"error: duration is not a finite number of seconds: {duration}\n"
+
+    def test_huge_duration_is_an_error_line(self, tmp_path, capsys):
+        """1e300 s once failed in np.arange with a traceback."""
+        assert main(["synth", "1", "1", "--duration", "1e300",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: duration 1e+300s outside [0.5, 600.0] s\n"
+
+    def test_duration_just_above_the_bound_is_an_error_line(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """Checked against a 1 s bound, so even a missing check allocates little."""
+        monkeypatch.setattr(audio_io, "SYNTH_MAX_DURATION_S", 1.0)
+        above = repr(float(np.nextafter(1.0, 2.0)))
+        assert main(["synth", "1", "1", "--duration", above, "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: duration {above}s outside [0.5, 1.0] s\n"
+        assert main(["synth", "1", "1", "--duration", "1.0", "--out", str(tmp_path / "y")]) == 0
 
 
 class TestExtract:

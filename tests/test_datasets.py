@@ -5,7 +5,6 @@ import pytest
 
 from voxscreen.audio_io import load_wav
 from voxscreen.datasets import (
-    CohortFilter,
     LabeledExample,
     apply_cohort,
     generate_synthetic_corpus,
@@ -15,6 +14,7 @@ from voxscreen.datasets import (
 from voxscreen.errors import (
     BadDelayError,
     BadLabelError,
+    ConfigError,
     HeaderMismatchError,
     MissingDelayMetadataWarning,
     UnknownSymptomTagError,
@@ -85,17 +85,15 @@ def paper_shaped_examples():
 class TestApplyCohort:
     def test_all_is_identity(self):
         examples = paper_shaped_examples()
-        assert apply_cohort(examples, CohortFilter("all")) == examples
+        assert apply_cohort(examples, "all") == examples
 
     def test_delay_filter_keeps_141_positives(self):
-        kept = apply_cohort(paper_shaped_examples(),
-                            CohortFilter("positives_within_days", days=14))
+        kept = apply_cohort(paper_shaped_examples(), "positives_within_days:14")
         assert sum(e.label for e in kept) == 141
         assert sum(1 - e.label for e in kept) == 585
 
     def test_cold_symptom_cohort_is_524(self):
-        kept = apply_cohort(paper_shaped_examples(),
-                            CohortFilter("covid_vs_cold_symptomatic"))
+        kept = apply_cohort(paper_shaped_examples(), "covid_vs_cold_symptomatic")
         assert len(kept) == 308 + 216
         assert sum(e.label for e in kept) == 308
 
@@ -103,23 +101,46 @@ class TestApplyCohort:
         examples = [LabeledExample("a.wav", 1, frozenset(), None),
                     LabeledExample("b.wav", 0, frozenset(), None)]
         with pytest.warns(MissingDelayMetadataWarning):
-            kept = apply_cohort(examples,
-                                CohortFilter("positives_within_days", days=14))
+            kept = apply_cohort(examples, "positives_within_days:14")
         assert [e.clip_path for e in kept] == ["b.wav"]
 
     def test_fields_unchanged_and_order_preserved(self):
         examples = paper_shaped_examples()
-        kept = apply_cohort(examples, CohortFilter("covid_vs_cold_symptomatic"))
+        kept = apply_cohort(examples, "covid_vs_cold_symptomatic")
         positions = {id(e): i for i, e in enumerate(examples)}
         assert all(e in examples for e in kept)
         kept_pos = [positions[id(e)] for e in kept]
         assert kept_pos == sorted(kept_pos)
 
     def test_filter_validation(self):
-        with pytest.raises(ValueError):
-            CohortFilter("positives_within_days")
-        with pytest.raises(ValueError):
-            CohortFilter("bogus")
+        for cohort in ("positives_within_days:0", "positives_within_days:x", "bogus"):
+            with pytest.raises(ConfigError):
+                apply_cohort(paper_shaped_examples(), cohort)
+
+
+@pytest.mark.parametrize("cohort,want", [
+    ("all", None),  # a new list equal to its input
+    ("positives_within_days", "positives_within_days:14"),  # DELAY_CUTOFF_DAYS
+    ("positives_within_days:0", ConfigError),
+    ("positives_within_days:-1", ConfigError),
+    ("positives_within_days:x", ConfigError),
+    ("everyone", ConfigError),
+])
+def test_cohort_grammar(cohort, want):
+    """apply_cohort reads every cohort flag: want is the flag that keeps the
+    same rows, or ConfigError, whose message names the flag."""
+    examples = paper_shaped_examples() + [  # at the 14-day cutoff and one day past it
+        LabeledExample("d14.wav", 1, frozenset(), 14),
+        LabeledExample("d15.wav", 1, frozenset(), 15)]
+    if want is ConfigError:
+        with pytest.raises(ConfigError, match=cohort):
+            apply_cohort(examples, cohort)
+        return
+    kept = apply_cohort(examples, cohort)
+    if want is None:
+        assert kept == examples and kept is not examples
+    else:
+        assert kept == apply_cohort(examples, want)
 
 
 class TestSyntheticCorpus:
@@ -149,7 +170,7 @@ class TestSyntheticCorpus:
         text = generate_synthetic_corpus(30, 30, seed=3, out_dir=tmp_path,
                                          duration_s=0.5)
         examples = parse_manifest(text)
-        kept = apply_cohort(examples, CohortFilter("covid_vs_cold_symptomatic"))
+        kept = apply_cohort(examples, "covid_vs_cold_symptomatic")
         assert sum(e.label for e in kept) == 30  # all positives survive
         symptomatic_neg = len(kept) - 30
         assert 0 < symptomatic_neg < 30

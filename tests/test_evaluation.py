@@ -12,6 +12,7 @@ import oracles
 from test_layers import run_check, usable_cpus
 
 from voxscreen.errors import (
+    ConfigError,
     EmptyEvaluationError,
     FoldWorkerDiedError,
     InsufficientClassCountError,
@@ -63,6 +64,11 @@ class TestStratifiedFolds:
         c = stratified_folds(labels, k=5, seed=5)
         assert np.array_equal(a.assignments, b.assignments)
         assert not np.array_equal(a.assignments, c.assignments)
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_fewer_than_two_folds_is_a_config_error(self, k):
+        with pytest.raises(ConfigError, match=f"^k={k}: cross-validation needs at least 2 folds$"):
+            stratified_folds(np.array([0, 1] * 4), k=k)
 
     def test_insufficient_class_count(self):
         with pytest.raises(InsufficientClassCountError):

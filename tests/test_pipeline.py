@@ -18,13 +18,10 @@ from voxscreen.errors import ConfigError, FeatureKindMismatchError
 from voxscreen.evaluation import cross_validate, stratified_folds
 from voxscreen.learners import CnnConfig, LstmConfig, layers
 from voxscreen.learners.models import MODELS
-from voxscreen.pipeline import (
-    ALLOWED_PAIRS,
-    extract_matrix,
-    feature_from_matrix,
-    resolve_recipe,
-    validate_recipe,
-)
+from voxscreen.pipeline import extract_matrix, feature_from_matrix, resolve_recipe, validate_recipe
+
+# every (model, feature) pairing that runs without force
+PAIRS = sorted((model, feature) for model, spec in MODELS.items() for feature in spec.features)
 
 
 def extract_feature(clip, kind, **kwargs):
@@ -87,8 +84,45 @@ class TestExtractFeature:
         assert np.max(np.abs(loaded.samples)) == 1.0  # peak-normalized
 
 
+def pool_cases():
+    """(kind, matrix): float32 values in float64, as read_feature returns them,
+    with +0.0 and -0.0 entries. mfcc_vector rows are [1, d]; encoder frames are
+    [n, c], with no column of all -0.0 frames (the one case the forms differ)."""
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        for kind, n, d in (("mfcc_vector", 1, 40), ("encoder", 1, 8), ("encoder", 2, 8),
+                           ("encoder", 7, 33), ("encoder", 49, 512)):
+            m = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
+            m *= rng.choice([1.0, 1.0, 0.0, -0.0], size=(n, d))
+            if kind == "encoder":
+                m[0, np.all(np.signbit(m) & (m == 0), axis=0)] = 0.0
+            yield kind, m
+
+
+def check_every_pool_case():
+    """feature_from_matrix's one vector branch equals ravel on an mfcc_vector
+    row and mean(axis=0) on encoder frames (tests/oracles.py), byte for byte."""
+    for kind, m in pool_cases():
+        got, want = feature_from_matrix(m, kind), oracles.pool_vector(m, kind)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (kind, m.shape)
+
+
+class TestVectorPooling:
+    def test_bytes_equal(self):
+        check_every_pool_case()
+
+    def test_bytes_equal_under_reduced_dispatch(self):
+        run_check("import test_pipeline; test_pipeline.check_every_pool_case()",
+                  REDUCED_DISPATCH)
+
+    def test_all_negative_zero_encoder_column_keeps_its_sign(self):
+        frames = np.array([[-0.0, 1.0], [-0.0, -0.0]])
+        assert np.signbit(feature_from_matrix(frames, "encoder")).tolist() == [True, False]
+        assert not np.signbit(oracles.pool_vector(frames, "encoder")).any()  # mean drops it
+
+
 class TestRecipeValidation:
-    @pytest.mark.parametrize("model,feature", sorted(ALLOWED_PAIRS))
+    @pytest.mark.parametrize("model,feature", PAIRS)
     def test_supported_pairs_pass(self, model, feature):
         validate_recipe({"model": model, "feature": feature})
 
@@ -235,7 +269,7 @@ def test_rebound_trainers_run_once_per_fold(monkeypatch):
 
     rng = np.random.default_rng(5)
     labels = np.array([0, 1] * 4)
-    for model, feature in sorted(ALLOWED_PAIRS):
+    for model, feature in PAIRS:
         feats = _tiny_features(model, labels, rng)
         calls.clear()
         cross_validate(feats, labels, {"model": model, "feature": feature,
@@ -347,7 +381,7 @@ def _dispatch_note() -> str:
             f"which enables {' '.join(enabled) or 'no listed features'}")
 
 
-@pytest.mark.parametrize("model,feature", sorted(ALLOWED_PAIRS))
+@pytest.mark.parametrize("model,feature", PAIRS)
 def test_report_bytes_match_golden(golden_clips, model, feature):
     assert _digests(_golden_report(golden_clips, model, feature)) \
         == GOLDEN_REPORTS[model, feature], _dispatch_note()
