@@ -21,10 +21,12 @@ import numpy as np
 
 from .datasets import apply_cohort, generate_synthetic_corpus, parse_manifest
 from .dsp import FrameParams, MelParams
+from .encoder import EncoderConfig, seeded_weights
 from .errors import ConfigError, CorruptFileError, VoxscreenError
 from .evaluation import (DEFAULT_FOLDS, config_fingerprint, cross_validate, report_text,
                          stratified_folds)
 from .features_io import FEATURE_KINDS, read_feature, write_feature
+from .forkmap import fork_map
 from .learners.models import MODELS
 from .pipeline import extract_matrix, feature_from_matrix, load_clip, validate_recipe
 
@@ -73,6 +75,27 @@ def _read_index(index_path: Path) -> dict[str, tuple[str, str, str]]:
     return index
 
 
+# The feature kinds whose clips are extracted in forked one-BLAS-thread workers.
+# The encoder's bytes do not depend on the BLAS thread count (tests/test_encoder.py
+# pins them under one thread). mfcc and melspec bytes do, through mel_spectrogram's
+# power @ bank.T, and a trial pool extracted melspec_image clips slower (48 clips:
+# 0.18 -> 0.22 s).
+POOLED_FEATURES = ("encoder",)
+
+
+def _map_clips(fn, clip_paths: list[str], feature: str):
+    """fn(clip path) for every path, in order; for POOLED_FEATURES in the clip pool."""
+    if feature == "encoder" and clip_paths:
+        seeded_weights(EncoderConfig())  # drawn once here, so every worker inherits them
+    return fork_map(fn, clip_paths, "clip", feature in POOLED_FEATURES)
+
+
+def _feature_name(clip_path: str) -> str:
+    """The clip's feature file name: flat and injective, so same-named clips
+    in different folders stay apart."""
+    return quote(os.path.splitext(clip_path)[0], safe="") + ".vxf"
+
+
 def cmd_extract(args) -> int:
     examples = _load_examples(args.manifest, args.cohort)
     out_dir = Path(args.out)
@@ -82,26 +105,35 @@ def cmd_extract(args) -> int:
     previous = _read_index(index_path) if index_path.exists() else {}
     index_path.unlink(missing_ok=True)  # written last: an unfinished run leaves none
     manifest_dir = Path(args.manifest).parent
-
-    rows, failures, skipped, owners = [], [], 0, {}
+    owners = {}  # feature file -> the first clip in the manifest it belongs to
     for ex in examples:
-        # flat and injective, so same-named clips in different folders stay apart
-        feat_name = quote(os.path.splitext(ex.clip_path)[0], safe="") + ".vxf"
+        owners.setdefault(_feature_name(ex.clip_path), ex.clip_path)
+
+    def extract_clip(clip_path: str):
+        """The clip's index row and whether it was up to date, or its error."""
+        feat_name = _feature_name(clip_path)
         try:
-            if owners.setdefault(feat_name, ex.clip_path) != ex.clip_path:
+            if owners[feat_name] != clip_path:
                 raise ConfigError(f"its feature file {feat_name} belongs to {owners[feat_name]}")
-            data = (manifest_dir / ex.clip_path).read_bytes()
-            sha = hashlib.sha256(data).hexdigest()
-            if previous.get(ex.clip_path) == (sha, params_key, feat_name) \
-                    and (out_dir / feat_name).exists():
-                skipped += 1
-            else:  # the bytes hashed are the bytes decoded
-                matrix = extract_matrix(load_clip(data), args.feature, frame=frame, mel=mel)
-                write_feature(str(out_dir / feat_name), matrix, args.feature)
+            data = (manifest_dir / clip_path).read_bytes()
+            row = (clip_path, hashlib.sha256(data).hexdigest(), params_key, feat_name)
+            if previous.get(clip_path) == row[1:] and (out_dir / feat_name).exists():
+                return row, True
+            # the bytes hashed are the bytes decoded
+            matrix = extract_matrix(load_clip(data), args.feature, frame=frame, mel=mel)
+            write_feature(str(out_dir / feat_name), matrix, args.feature)
+            return row, False
         except (VoxscreenError, OSError) as exc:
-            failures.append((ex.clip_path, str(exc)))
-            continue
-        rows.append((ex.clip_path, sha, params_key, feat_name))
+            return exc
+
+    rows, failures, skipped = [], [], 0
+    paths = [ex.clip_path for ex in examples]
+    for path, outcome in zip(paths, _map_clips(extract_clip, paths, args.feature)):
+        if isinstance(outcome, Exception):
+            failures.append((path, str(outcome)))
+        else:
+            rows.append(outcome[0])
+            skipped += outcome[1]
 
     partial = out_dir / "index.csv.tmp"
     with open(partial, "w", newline="") as fh:  # csv, like the manifest: paths may hold commas
@@ -126,6 +158,21 @@ def _collect_features(args, examples) -> np.ndarray:
     manifest_dir = Path(args.manifest).parent
     feature_dir = Path(args.features) if args.features else None
     index = _read_index(feature_dir / "index.csv") if feature_dir else {}
+
+    def extract_clip(clip_path: str):
+        """The clip's feature, or its error: an OSError as it came, a
+        VoxscreenError as one of the same type naming the clip."""
+        try:
+            clip = load_clip((manifest_dir / clip_path).read_bytes())
+            matrix = extract_matrix(clip, args.feature, frame=frame, mel=mel)
+        except OSError as exc:
+            return exc
+        except VoxscreenError as exc:
+            return type(exc)(f"{clip_path}: {exc}")
+        return feature_from_matrix(matrix, args.feature)
+
+    unlisted = [ex.clip_path for ex in examples if ex.clip_path not in index]
+    extracted = iter(_map_clips(extract_clip, unlisted, args.feature))
     features = []
     for ex in examples:
         listed = index.get(ex.clip_path)
@@ -142,13 +189,12 @@ def _collect_features(args, examples) -> np.ndarray:
                 raise ConfigError(
                     f"{vxf} holds {kind!r} features but the run asks for "
                     f"{args.feature!r}; re-extract or point elsewhere")
+            feature = feature_from_matrix(matrix, args.feature)
         else:
-            try:
-                clip = load_clip((manifest_dir / ex.clip_path).read_bytes())
-                matrix = extract_matrix(clip, args.feature, frame=frame, mel=mel)
-            except VoxscreenError as exc:  # the same type, naming the clip it came from
-                raise type(exc)(f"{ex.clip_path}: {exc}") from None
-        features.append(feature_from_matrix(matrix, args.feature))
+            feature = next(extracted)
+            if isinstance(feature, Exception):
+                raise feature
+        features.append(feature)
         if features[-1].shape != features[0].shape:
             raise CorruptFileError(
                 f"{vxf if listed else ex.clip_path}: features of shape {features[-1].shape}, "

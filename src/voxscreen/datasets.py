@@ -160,13 +160,13 @@ def generate_synthetic_corpus(n_pos: int, n_neg: int, seed: int, out_dir,
     if n_pos < 1 or n_neg < 1:
         raise ValueError("need at least one example per class")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     meta_rng = np.random.default_rng([seed & 0xFFFFFFFF, 0xC0])
     examples = []
     pool = sorted(SYMPTOM_VOCABULARY - {"none"})
     for idx in range(n_pos + n_neg):
         label = 1 if idx < n_pos else 0
         clip = synth_clip(label, seed * 1_000_003 + idx, duration_s)
+        out_dir.mkdir(parents=True, exist_ok=True)  # after a clip: a refused run leaves none
         name = f"clip_{idx:04d}_{'pos' if label else 'neg'}.wav"
         (out_dir / name).write_bytes(save_wav(clip))
         if label == 1:

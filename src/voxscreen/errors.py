@@ -83,9 +83,10 @@ class EmptyEvaluationError(VoxscreenError):
     """Confusion counts sum to zero."""
 
 
-class FoldWorkerDiedError(VoxscreenError):
-    """A worker process training cross-validation folds died before it
-    returned a fold's scores (killed by a signal, or out of memory)."""
+class WorkerDiedError(VoxscreenError):
+    """A forked worker process, training cross-validation folds or extracting
+    clips, died before it returned a result (killed by a signal, or out of
+    memory)."""
 
 
 class ConfigError(VoxscreenError):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,11 +12,11 @@ import numpy as np
 from .errors import (
     ConfigError,
     EmptyEvaluationError,
-    FoldWorkerDiedError,
     InsufficientClassCountError,
     LengthMismatchError,
     SingleClassDataError,
 )
+from .forkmap import fork_map
 from .learners.models import MODELS
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "ppv", "npv")
@@ -208,76 +207,6 @@ def config_fingerprint(payload: dict) -> str:
         json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-def _fold_scores(features, labels, plan: FoldPlan, seed: int, fit_fn, fold: int) -> np.ndarray:
-    """Fit on every row outside the fold, seeded seed + fold; score the fold's rows."""
-    train_ids = plan.train_indices(fold)
-    model = fit_fn(features[train_ids], labels[train_ids], seed + fold)
-    return np.asarray(model.score_batch(features[plan.test_indices(fold)]))
-
-
-def _fold_workers(recipe: dict, k: int) -> int:
-    """Processes to train the folds in: one, unless the recipe's model kind
-    pools its folds and this process may run on several CPUs. Only Linux
-    has os.sched_getaffinity, and it has fork."""
-    spec = MODELS.get(recipe.get("model"))
-    if spec is None or not spec.pooled or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(k, len(os.sched_getaffinity(0)))
-
-
-_WORKER_FOLDS = None  # (features, labels, plan, seed, fit_fn); set only in a forked worker
-
-
-def _start_fold_worker(*state) -> None:
-    """Keep the forked state, and run BLAS on one thread: two workers with
-    two BLAS threads each trained no faster than one process on two CPUs."""
-    global _WORKER_FOLDS
-    _WORKER_FOLDS = state
-    try:  # the OpenBLAS numpy loaded, wheel or system
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
-    except OSError:
-        return
-    import ctypes
-    for lib in map(ctypes.CDLL, paths):
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                     "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                set_threads = getattr(lib, name)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-                return
-
-
-def _worker_fold(fold: int) -> np.ndarray:
-    return _fold_scores(*_WORKER_FOLDS, fold)
-
-
-def _pooled_fold_scores(state: tuple, k: int, workers: int) -> list[np.ndarray]:
-    """Every fold's scores, in fold order, from a pool of forked workers.
-
-    The workers inherit state through fork, so nothing in it is pickled or
-    re-imported; only the score vectors come back. A fold's exception
-    reaches the caller with its own type, and the folds not yet started are
-    cancelled. A worker that dies raises FoldWorkerDiedError.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               _start_fold_worker, state)
-    try:
-        return list(pool.map(_worker_fold, range(k)))
-    except BrokenProcessPool:
-        raise FoldWorkerDiedError(
-            "a cross-validation fold worker died before returning its scores (killed, "
-            "or out of memory?); on one CPU (taskset -c 0) the folds train serially "
-            "in this process") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def cross_validate(features, labels, recipe: dict, k: int = DEFAULT_FOLDS,
                    seed: int = 0, fit_fn=None) -> EvaluationReport:
     """Stratified k-fold protocol over pre-extracted features.
@@ -291,9 +220,9 @@ def cross_validate(features, labels, recipe: dict, k: int = DEFAULT_FOLDS,
 
     When the recipe's model kind pools its folds (ModelSpec.pooled), the
     folds train in up to min(k, usable CPUs) forked worker processes, each
-    with one BLAS thread. The report is built from their scores in fold
-    order, so its bytes are those of the serial loop, which a process on
-    one CPU or without fork runs.
+    with one BLAS thread (forkmap.fork_map). The report is built from their
+    scores in fold order, so its bytes are those of the serial loop, which
+    a process on one CPU or without fork runs.
     """
     features = np.asarray(features)
     labels = np.asarray(labels)
@@ -304,10 +233,14 @@ def cross_validate(features, labels, recipe: dict, k: int = DEFAULT_FOLDS,
         fit_fn = resolve_recipe(recipe)
 
     plan = stratified_folds(labels, k=k, seed=seed)
-    state = (features, labels, plan, seed, fit_fn)
-    workers = _fold_workers(recipe, k)
-    all_scores = (_pooled_fold_scores(state, k, workers) if workers > 1
-                  else (_fold_scores(*state, fold) for fold in range(k)))
+
+    def fold_scores(fold: int) -> np.ndarray:
+        """Fit on every row outside the fold, seeded seed + fold; score the fold's rows."""
+        train_ids = plan.train_indices(fold)
+        model = fit_fn(features[train_ids], labels[train_ids], seed + fold)
+        return np.asarray(model.score_batch(features[plan.test_indices(fold)]))
+    all_scores = fork_map(fold_scores, range(k), "fold",
+                          getattr(MODELS.get(recipe.get("model")), "pooled", False))
     fold_metrics, fold_aucs, confusions = [], [], []
     pooled_scores = np.zeros(len(labels))
     for fold, scores in enumerate(all_scores):

@@ -237,6 +237,17 @@ def sigmoid_where(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+# --- logistic regression ---
+
+def logreg_loss_grad(w, b, rows, labels):
+    """Mean BCE of sigmoid(rows @ w + b) against labels and its gradient wrt
+    (w, b): what train_logreg computed every epoch before it dropped the loss."""
+    z = rows @ w + b
+    loss = np.mean(np.logaddexp(0.0, z) - labels * z)
+    dz = (sigmoid(z) - labels) / z.size
+    return loss, rows.T @ dz, float(dz.sum())
+
+
 # --- LSTM, one direction at a time ---
 
 def lstm_run_direction(xs, wx, wh, b, hidden):

@@ -4,8 +4,10 @@ import builtins
 import contextlib
 import io
 import json
+import os
 import pathlib
 import shutil
+import signal
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from test_layers import run_check, usable_cpus
 from voxscreen import audio_io
 from voxscreen.audio_io import load_wav
 from voxscreen.cli import build_parser, main
-from voxscreen.errors import ConfigError, CorruptFileError, NonFiniteLossError
+from voxscreen.errors import (ConfigError, CorruptFileError, MalformedHeaderError,
+                              NonFiniteLossError, WorkerDiedError)
 from voxscreen.features_io import read_feature, write_feature
 
 
@@ -77,12 +80,14 @@ class TestSynth:
                      "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == \
             f"error: duration is not a finite number of seconds: {duration}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_huge_duration_is_an_error_line(self, tmp_path, capsys):
         """1e300 s once failed in np.arange with a traceback."""
-        assert main(["synth", "1", "1", "--duration", "1e300",
+        assert main(["synth", "2", "2", "--duration", "1e300",
                      "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == "error: duration 1e+300s outside [0.5, 600.0] s\n"
+        assert not (tmp_path / "x").exists()  # refused before its --out was made
 
     def test_duration_just_above_the_bound_is_an_error_line(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -581,3 +586,115 @@ def check_cv_refuses(corpus):
         code = _cv(pathlib.Path(corpus), pathlib.Path(corpus) / "out")
     assert code == 1 and err.getvalue().startswith("error:"), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def encoder_corpus(tmp_path_factory):
+    """3+3 clips, and bad.csv: the same manifest with a clip cut to 40 bytes
+    in the middle."""
+    root = tmp_path_factory.mktemp("encoder_corpus")
+    assert main(["synth", "3", "3", "--seed", "7", "--duration", "0.6",
+                 "--out", str(root)]) == 0
+    (root / "cut.wav").write_bytes((root / "clip_0000_pos.wav").read_bytes()[:40])
+    lines = (root / "manifest.csv").read_text().splitlines()
+    lines.insert(4, "cut.wav,1,,,")
+    (root / "bad.csv").write_text("\n".join(lines) + "\n")
+    return root
+
+
+def _recording_pids(monkeypatch, pid_dir):
+    """Wrap voxscreen.cli.extract_matrix to leave a file named after the pid of
+    each process it runs in, which the parent can see also from a worker."""
+    real = voxscreen.cli.extract_matrix
+    pid_dir.mkdir()
+
+    def wrapper(*args, **kwargs):
+        (pid_dir / str(os.getpid())).touch()
+        return real(*args, **kwargs)
+    monkeypatch.setattr(voxscreen.cli, "extract_matrix", wrapper)
+
+
+def _outputs(out_dir, said):
+    """Every file an extract or cv wrote, by name, and what it printed."""
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}, said.out, said.err
+
+
+class TestClipPool:
+    """Encoder clips extract in the clip pool on several CPUs and serially on
+    one; every byte written and printed is the same."""
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_clips_extract_in_workers_only_on_several_cpus(self, encoder_corpus, tmp_path,
+                                                           monkeypatch, cpus):
+        usable_cpus(monkeypatch, cpus)
+        _recording_pids(monkeypatch, tmp_path / "pids")
+        assert main(["extract", "--manifest", str(encoder_corpus / "manifest.csv"),
+                     "--feature", "encoder", "--out", str(tmp_path / "feats")]) == 0
+        pids = {int(p.name) for p in (tmp_path / "pids").iterdir()}
+        assert (os.getpid() in pids) == (cpus == 1) and pids
+
+    def test_extract_bytes_and_reruns_match_serial(self, encoder_corpus, tmp_path,
+                                                   monkeypatch, capsys):
+        runs = {}
+        for cpus in (2, 1):
+            usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            argv = ["extract", "--manifest", str(encoder_corpus / "bad.csv"),
+                    "--feature", "encoder", "--out", str(out)]
+            capsys.readouterr()
+            assert main(argv) == 1
+            first = _outputs(out, capsys.readouterr())
+            assert main(argv) == 1  # every clip up to date but the cut one
+            runs[cpus] = first, _outputs(out, capsys.readouterr())
+        assert runs[2] == runs[1]
+        (files, said, err), (again, said_again, _) = runs[2]
+        assert len([name for name in files if name.endswith(".vxf")]) == 6
+        assert again == files
+        assert said == "extracted 6 features, 0 up to date, 1 failures\n"
+        assert said_again == "extracted 0 features, 6 up to date, 1 failures\n"
+        assert err == "  FAILED cut.wav: no data chunk found\n"
+
+    def test_cv_report_bytes_match_serial(self, encoder_corpus, tmp_path, monkeypatch,
+                                          capsys):
+        runs = {}
+        for cpus in (2, 1):
+            usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            capsys.readouterr()
+            assert main(["cv", "--manifest", str(encoder_corpus / "manifest.csv"),
+                         "--feature", "encoder", "--model", "logreg", "--k", "3",
+                         "--seed", "2", "--out", str(out)]) == 0
+            runs[cpus] = _outputs(out, capsys.readouterr())
+        assert runs[2] == runs[1]
+        assert set(runs[2][0]) == {"fingerprint.json", "report.json", "report.txt",
+                                   "report_roc.csv"}
+
+    def test_cv_clip_error_keeps_its_type_and_names_the_clip(self, encoder_corpus,
+                                                             tmp_path, monkeypatch):
+        errors = set()
+        for cpus in (2, 1):
+            usable_cpus(monkeypatch, cpus)
+            args = build_parser().parse_args([
+                "cv", "--manifest", str(encoder_corpus / "bad.csv"), "--feature", "encoder",
+                "--model", "logreg", "--k", "3", "--out", str(tmp_path / "out")])
+            with pytest.raises(MalformedHeaderError) as caught:
+                args.fn(args)
+            errors.add(str(caught.value))
+        assert errors == {"cut.wav: no data chunk found"}
+
+    def test_dead_clip_worker_is_a_typed_error_not_a_hang(self, encoder_corpus):
+        run_check(f"import test_cli; test_cli.check_dead_clip_worker_raises("
+                  f"{str(encoder_corpus)!r})", {}, timeout=60)
+
+
+def check_dead_clip_worker_raises(corpus):
+    """A clip worker killed by SIGKILL ends extract with WorkerDiedError."""
+    with pytest.MonkeyPatch.context() as mp:
+        usable_cpus(mp, 2)
+        mp.setattr(voxscreen.cli, "extract_matrix",
+                   lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL))
+        args = build_parser().parse_args([
+            "extract", "--manifest", str(pathlib.Path(corpus) / "manifest.csv"),
+            "--feature", "encoder", "--out", str(pathlib.Path(corpus) / "killed")])
+        with pytest.raises(WorkerDiedError, match="a clip worker died"):
+            args.fn(args)

@@ -14,11 +14,11 @@ from test_layers import run_check, usable_cpus
 from voxscreen.errors import (
     ConfigError,
     EmptyEvaluationError,
-    FoldWorkerDiedError,
     InsufficientClassCountError,
     LengthMismatchError,
     NonFiniteLossError,
     SingleClassDataError,
+    WorkerDiedError,
 )
 from voxscreen.evaluation import (
     ConfusionCounts,
@@ -316,7 +316,7 @@ def _toy_data():
 
 def check_dead_worker_raises():
     """A fold worker killed by SIGKILL ends cross_validate with
-    FoldWorkerDiedError. Had the fold run in this process, the kill would end
+    WorkerDiedError. Had the fold run in this process, the kill would end
     the interpreter; had fit reached the worker by pickling, a closure would
     not get there at all."""
     feats, labels = _toy_data()
@@ -327,7 +327,7 @@ def check_dead_worker_raises():
         return _MeanThreshold(features, labels)
     with pytest.MonkeyPatch.context() as mp:
         usable_cpus(mp, 2)
-        with pytest.raises(FoldWorkerDiedError, match="fold worker died"):
+        with pytest.raises(WorkerDiedError, match="fold worker died"):
             cross_validate(feats, labels, {"model": "cnn"}, k=4, seed=0, fit_fn=fit)
 
 

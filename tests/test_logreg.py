@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from gradcheck import max_relative_error, numeric_grad
+from oracles import logreg_loss_grad
 
 from voxscreen.errors import SingleClassDataError
 from voxscreen.learners import train_logreg
-from voxscreen.learners.logreg import LogRegModel, logreg_loss_grad
+from voxscreen.learners.logreg import LOGREG_EPOCHS, LOGREG_LR, LogRegModel
 
 
 def brute_force_linearly_separable(rows, labels, rng, tries=20000):
@@ -79,3 +80,19 @@ class TestTrainLogreg:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataError):
             train_logreg(np.zeros((4, 2)), np.ones(4))
+
+    @pytest.mark.parametrize("n, d", [(180, 40), (6, 512), (2000, 40)])
+    def test_weights_match_the_loss_computing_loop(self, n, d):
+        """train_logreg's loop, which computes no loss, gives the bytes of the
+        loop through the loss and gradient it replaced (tests/oracles.py)."""
+        rng = np.random.default_rng(n + d)
+        rows = rng.normal(size=(n, d))
+        labels = (rows[:, 0] + rng.normal(size=n) > 0).astype(np.float64)
+        model = train_logreg(rows, labels)
+        w, b = np.zeros(d), 0.0
+        for _ in range(LOGREG_EPOCHS):
+            _, gw, gb = logreg_loss_grad(w, b, rows, labels)
+            w = w - LOGREG_LR * gw
+            b = b - LOGREG_LR * gb
+        assert model.weights.tobytes() == w.tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(b).tobytes()

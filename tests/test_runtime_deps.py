@@ -60,13 +60,24 @@ def test_every_traced_layer_resolves():
             assert callable(getattr(owner, attr, None)), span
 
 
-def test_cli_import_loads_no_process_pool():
-    """The fold pool imports multiprocessing and concurrent.futures only when
-    it runs: importing them costs 23 to 35 ms, on a startup of about 0.2 s."""
-    probe = ("import sys, voxscreen.cli; print(' '.join(sorted(m for m in sys.modules "
-             "if m.partition('.')[0] in ('multiprocessing', 'concurrent'))))")
+def test_cli_import_loads_no_process_pool(tmp_path):
+    """The fold and clip pools import multiprocessing and concurrent.futures
+    only when they run: importing them costs 23 to 35 ms, on a startup of about
+    0.2 s. Importing the CLI loads neither, and nor does extracting a feature
+    kind whose clips do not pool."""
+    manifest, out = str(tmp_path / "manifest.csv"), str(tmp_path / "feats")
+    probe = f"""
+import sys, voxscreen.cli as cli
+def pool_modules():
+    return sorted(m for m in sys.modules if m.partition('.')[0] in ('multiprocessing', 'concurrent'))
+assert pool_modules() == [], pool_modules()
+assert cli.main(['synth', '1', '1', '--duration', '0.5', '--out', {str(tmp_path)!r}]) == 0
+assert cli.main(['extract', '--manifest', {manifest!r}, '--feature', 'mfcc_vector',
+                 '--out', {out!r}]) == 0
+assert pool_modules() == [], pool_modules()
+"""
     src = pathlib.Path(voxscreen.__file__).parent.parent
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == ""
+    assert "extracted 2 features" in run.stdout
