@@ -20,7 +20,8 @@ from urllib.parse import quote
 import numpy as np
 
 from .datasets import apply_cohort, generate_synthetic_corpus, parse_manifest
-from .dsp import FrameParams, MelParams
+from .audio_io import CANONICAL_RATE
+from .dsp import FrameParams, MelParams, filter_bounds
 from .encoder import EncoderConfig, seeded_weights
 from .errors import ConfigError, CorruptFileError, VoxscreenError
 from .evaluation import (DEFAULT_FOLDS, config_fingerprint, cross_validate, report_text,
@@ -75,19 +76,19 @@ def _read_index(index_path: Path) -> dict[str, tuple[str, str, str]]:
     return index
 
 
-# The feature kinds whose clips are extracted in forked one-BLAS-thread workers.
-# The encoder's bytes do not depend on the BLAS thread count (tests/test_encoder.py
-# pins them under one thread). mfcc and melspec bytes do, through mel_spectrogram's
-# power @ bank.T, and a trial pool extracted melspec_image clips slower (48 clips:
-# 0.18 -> 0.22 s).
-POOLED_FEATURES = ("encoder",)
-
-
-def _map_clips(fn, clip_paths: list[str], feature: str):
-    """fn(clip path) for every path, in order; for POOLED_FEATURES in the clip pool."""
-    if feature == "encoder" and clip_paths:
-        seeded_weights(EncoderConfig())  # drawn once here, so every worker inherits them
-    return fork_map(fn, clip_paths, "clip", feature in POOLED_FEATURES)
+def _map_clips(fn, clip_paths: list[str], feature: str, frame: FrameParams, mel: MelParams):
+    """fn(clip path) for every path, in order, in the clip pool. What every clip
+    reads is built here once, so each worker inherits it: the encoder's weights,
+    or the mel bank and its bounds at the rate load_clip resamples to."""
+    if clip_paths:
+        if feature == "encoder":
+            seeded_weights(EncoderConfig())
+        else:
+            try:
+                filter_bounds(CANONICAL_RATE, frame, mel)
+            except VoxscreenError:
+                pass  # an infeasible bank: each clip reports it as its own failure
+    return fork_map(fn, clip_paths, "clip", True)
 
 
 def _feature_name(clip_path: str) -> str:
@@ -128,7 +129,7 @@ def cmd_extract(args) -> int:
 
     rows, failures, skipped = [], [], 0
     paths = [ex.clip_path for ex in examples]
-    for path, outcome in zip(paths, _map_clips(extract_clip, paths, args.feature)):
+    for path, outcome in zip(paths, _map_clips(extract_clip, paths, args.feature, frame, mel)):
         if isinstance(outcome, Exception):
             failures.append((path, str(outcome)))
         else:
@@ -172,7 +173,7 @@ def _collect_features(args, examples) -> np.ndarray:
         return feature_from_matrix(matrix, args.feature)
 
     unlisted = [ex.clip_path for ex in examples if ex.clip_path not in index]
-    extracted = iter(_map_clips(extract_clip, unlisted, args.feature))
+    extracted = iter(_map_clips(extract_clip, unlisted, args.feature, frame, mel))
     features = []
     for ex in examples:
         listed = index.get(ex.clip_path)

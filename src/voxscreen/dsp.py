@@ -129,12 +129,30 @@ def mel_filterbank(sample_rate: int, p: FrameParams = FrameParams(),
     return bank
 
 
+@functools.lru_cache(maxsize=8)
+def filter_bounds(sample_rate: int, p: FrameParams, m: MelParams) -> tuple:
+    """(lo, hi) per filter of mel_filterbank: the bins lo..hi-1 where it is
+    nonzero, 7 to 84 of 1025 at the defaults. Cached beside the bank."""
+    nonzero = mel_filterbank(sample_rate, p, m) > 0.0
+    lo = nonzero.argmax(axis=1)
+    hi = p.n_bins - nonzero[:, ::-1].argmax(axis=1)
+    return tuple(zip(lo.tolist(), hi.tolist()))
+
+
 def mel_spectrogram(clip: AudioClip, p: FrameParams = FrameParams(),
                     m: MelParams = MelParams()) -> np.ndarray:
-    """Natural-log mel power per frame, [n_frames, n_mels], floored at LOG_FLOOR."""
+    """Natural-log mel power per frame, [n_frames, n_mels], floored at LOG_FLOOR.
+
+    Each filter sums over its own nonzero bins only. Unlike one power @ bank.T,
+    whose OpenBLAS sums round differently on one thread than on two, these
+    narrow products give the same bytes on any thread count.
+    """
     power = stft_power(clip, p)
     bank = mel_filterbank(clip.sample_rate, p, m)
-    return np.log(np.maximum(power @ bank.T, LOG_FLOOR))
+    mel = np.empty((len(power), m.n_mels))
+    for i, (lo, hi) in enumerate(filter_bounds(clip.sample_rate, p, m)):
+        mel[:, i] = power[:, lo:hi] @ bank[i, lo:hi]
+    return np.log(np.maximum(mel, LOG_FLOOR, out=mel), out=mel)
 
 
 @functools.lru_cache(maxsize=8)

@@ -119,6 +119,12 @@ def reference_mean_mfcc(samples: np.ndarray, sample_rate: int,
     return coeffs[:, :n_mfcc].mean(axis=0)
 
 
+def dense_log_mel(power: np.ndarray, bank: np.ndarray) -> np.ndarray:
+    """Log mel power from one product over every bin, floored at 1e-10: the
+    form mel_spectrogram used before it summed each filter over its own bins."""
+    return np.log(np.maximum(power @ bank.T, 1e-10))
+
+
 # --- evaluation oracles ---
 
 def pairwise_auc(scores, labels) -> float:

@@ -20,7 +20,7 @@ from voxscreen.audio_io import load_wav
 from voxscreen.cli import build_parser, main
 from voxscreen.errors import (ConfigError, CorruptFileError, MalformedHeaderError,
                               NonFiniteLossError, WorkerDiedError)
-from voxscreen.features_io import read_feature, write_feature
+from voxscreen.features_io import FEATURE_KINDS, read_feature, write_feature
 
 
 @pytest.fixture(scope="module")
@@ -151,18 +151,29 @@ class TestExtract:
         assert feature_from_matrix(matrix, "melspec_image") is matrix  # the plane is the feature
 
     def test_reads_each_clip_once(self, corpus, tmp_path, monkeypatch):
-        """The bytes index.csv hashes are the bytes decoded: one read per clip."""
-        real_open, opened = io.open, []
+        """The bytes index.csv hashes are the bytes decoded: one read per clip,
+        in the clip pool and on one CPU. Each process logs the clips it opens
+        to a file named after its pid, which the parent can read."""
+        real_open = io.open
 
         def counting_open(file, *args, **kwargs):
-            opened.append(str(file))
+            if str(file).endswith(".wav"):
+                with real_open(log_dir / str(os.getpid()), "a") as log:
+                    log.write(f"{file}\n")
             return real_open(file, *args, **kwargs)
         monkeypatch.setattr(io, "open", counting_open)  # what pathlib opens files with
         monkeypatch.setattr(builtins, "open", counting_open)
-        assert _extract(corpus, tmp_path / "feats") == 0
         clips = sorted(str(p) for p in corpus.glob("*.wav"))
         assert len(clips) == 16
-        assert sorted(f for f in opened if f.endswith(".wav")) == clips
+        for cpus in (2, 1):
+            usable_cpus(monkeypatch, cpus)
+            log_dir = tmp_path / f"opened{cpus}"
+            log_dir.mkdir()
+            assert _extract(corpus, tmp_path / f"feats{cpus}") == 0
+            logs = list(log_dir.iterdir())
+            assert sorted(line for log in logs for line in log.read_text().splitlines()) \
+                == clips
+            assert (str(os.getpid()) in {log.name for log in logs}) == (cpus == 1)
 
     def test_unreadable_path_isolated(self, corpus, tmp_path, capsys):
         bad_manifest = tmp_path / "bad.csv"
@@ -589,10 +600,10 @@ def check_cv_refuses(corpus):
 
 
 @pytest.fixture(scope="module")
-def encoder_corpus(tmp_path_factory):
+def pool_corpus(tmp_path_factory):
     """3+3 clips, and bad.csv: the same manifest with a clip cut to 40 bytes
     in the middle."""
-    root = tmp_path_factory.mktemp("encoder_corpus")
+    root = tmp_path_factory.mktemp("pool_corpus")
     assert main(["synth", "3", "3", "--seed", "7", "--duration", "0.6",
                  "--out", str(root)]) == 0
     (root / "cut.wav").write_bytes((root / "clip_0000_pos.wav").read_bytes()[:40])
@@ -619,72 +630,83 @@ def _outputs(out_dir, said):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}, said.out, said.err
 
 
+# each feature kind with a model that reads it, and flags that keep its cv short
+CV_RUNS = [("mfcc_vector", ["--model", "logreg"]), ("encoder", ["--model", "logreg"]),
+           ("mfcc_image", ["--model", "cnn", "--epochs", "1", "--batch", "2"]),
+           ("melspec_image", ["--model", "cnn", "--epochs", "1", "--batch", "2"])]
+
+
 class TestClipPool:
-    """Encoder clips extract in the clip pool on several CPUs and serially on
-    one; every byte written and printed is the same."""
+    """Clips of every feature kind extract in the clip pool on several CPUs and
+    serially on one; every byte written and printed is the same."""
 
     @pytest.mark.parametrize("cpus", [2, 1])
-    def test_clips_extract_in_workers_only_on_several_cpus(self, encoder_corpus, tmp_path,
+    def test_clips_extract_in_workers_only_on_several_cpus(self, pool_corpus, tmp_path,
                                                            monkeypatch, cpus):
         usable_cpus(monkeypatch, cpus)
         _recording_pids(monkeypatch, tmp_path / "pids")
-        assert main(["extract", "--manifest", str(encoder_corpus / "manifest.csv"),
-                     "--feature", "encoder", "--out", str(tmp_path / "feats")]) == 0
-        pids = {int(p.name) for p in (tmp_path / "pids").iterdir()}
-        assert (os.getpid() in pids) == (cpus == 1) and pids
+        for kind in FEATURE_KINDS:
+            assert main(["extract", "--manifest", str(pool_corpus / "manifest.csv"),
+                         "--feature", kind, "--out", str(tmp_path / kind)]) == 0
+            pids = {int(p.name) for p in (tmp_path / "pids").iterdir()}
+            assert (os.getpid() in pids) == (cpus == 1) and pids, kind
+            for p in (tmp_path / "pids").iterdir():
+                p.unlink()
 
-    def test_extract_bytes_and_reruns_match_serial(self, encoder_corpus, tmp_path,
+    def test_extract_bytes_and_reruns_match_serial(self, pool_corpus, tmp_path,
                                                    monkeypatch, capsys):
-        runs = {}
-        for cpus in (2, 1):
-            usable_cpus(monkeypatch, cpus)
-            out = tmp_path / f"cpus{cpus}"
-            argv = ["extract", "--manifest", str(encoder_corpus / "bad.csv"),
-                    "--feature", "encoder", "--out", str(out)]
-            capsys.readouterr()
-            assert main(argv) == 1
-            first = _outputs(out, capsys.readouterr())
-            assert main(argv) == 1  # every clip up to date but the cut one
-            runs[cpus] = first, _outputs(out, capsys.readouterr())
-        assert runs[2] == runs[1]
-        (files, said, err), (again, said_again, _) = runs[2]
-        assert len([name for name in files if name.endswith(".vxf")]) == 6
-        assert again == files
-        assert said == "extracted 6 features, 0 up to date, 1 failures\n"
-        assert said_again == "extracted 0 features, 6 up to date, 1 failures\n"
-        assert err == "  FAILED cut.wav: no data chunk found\n"
+        for kind in FEATURE_KINDS:
+            runs = {}
+            for cpus in (2, 1):
+                usable_cpus(monkeypatch, cpus)
+                out = tmp_path / f"{kind}_cpus{cpus}"
+                argv = ["extract", "--manifest", str(pool_corpus / "bad.csv"),
+                        "--feature", kind, "--out", str(out)]
+                capsys.readouterr()
+                assert main(argv) == 1
+                first = _outputs(out, capsys.readouterr())
+                assert main(argv) == 1  # every clip up to date but the cut one
+                runs[cpus] = first, _outputs(out, capsys.readouterr())
+            assert runs[2] == runs[1], kind
+            (files, said, err), (again, said_again, _) = runs[2]
+            assert len([name for name in files if name.endswith(".vxf")]) == 6
+            assert again == files
+            assert said == "extracted 6 features, 0 up to date, 1 failures\n"
+            assert said_again == "extracted 0 features, 6 up to date, 1 failures\n"
+            assert err == "  FAILED cut.wav: no data chunk found\n"
 
-    def test_cv_report_bytes_match_serial(self, encoder_corpus, tmp_path, monkeypatch,
+    def test_cv_report_bytes_match_serial(self, pool_corpus, tmp_path, monkeypatch,
                                           capsys):
-        runs = {}
-        for cpus in (2, 1):
-            usable_cpus(monkeypatch, cpus)
-            out = tmp_path / f"cpus{cpus}"
-            capsys.readouterr()
-            assert main(["cv", "--manifest", str(encoder_corpus / "manifest.csv"),
-                         "--feature", "encoder", "--model", "logreg", "--k", "3",
-                         "--seed", "2", "--out", str(out)]) == 0
-            runs[cpus] = _outputs(out, capsys.readouterr())
-        assert runs[2] == runs[1]
-        assert set(runs[2][0]) == {"fingerprint.json", "report.json", "report.txt",
-                                   "report_roc.csv"}
+        for kind, flags in CV_RUNS:
+            runs = {}
+            for cpus in (2, 1):
+                usable_cpus(monkeypatch, cpus)
+                out = tmp_path / f"{kind}_cpus{cpus}"
+                capsys.readouterr()
+                assert main(["cv", "--manifest", str(pool_corpus / "manifest.csv"),
+                             "--feature", kind, *flags, "--k", "3", "--seed", "2",
+                             "--out", str(out)]) == 0
+                runs[cpus] = _outputs(out, capsys.readouterr())
+            assert runs[2] == runs[1], kind
+            assert set(runs[2][0]) == {"fingerprint.json", "report.json", "report.txt",
+                                       "report_roc.csv"}
 
-    def test_cv_clip_error_keeps_its_type_and_names_the_clip(self, encoder_corpus,
+    def test_cv_clip_error_keeps_its_type_and_names_the_clip(self, pool_corpus,
                                                              tmp_path, monkeypatch):
         errors = set()
         for cpus in (2, 1):
             usable_cpus(monkeypatch, cpus)
             args = build_parser().parse_args([
-                "cv", "--manifest", str(encoder_corpus / "bad.csv"), "--feature", "encoder",
+                "cv", "--manifest", str(pool_corpus / "bad.csv"), "--feature", "mfcc_vector",
                 "--model", "logreg", "--k", "3", "--out", str(tmp_path / "out")])
             with pytest.raises(MalformedHeaderError) as caught:
                 args.fn(args)
             errors.add(str(caught.value))
         assert errors == {"cut.wav: no data chunk found"}
 
-    def test_dead_clip_worker_is_a_typed_error_not_a_hang(self, encoder_corpus):
+    def test_dead_clip_worker_is_a_typed_error_not_a_hang(self, pool_corpus):
         run_check(f"import test_cli; test_cli.check_dead_clip_worker_raises("
-                  f"{str(encoder_corpus)!r})", {}, timeout=60)
+                  f"{str(pool_corpus)!r})", {}, timeout=60)
 
 
 def check_dead_clip_worker_raises(corpus):
@@ -695,6 +717,6 @@ def check_dead_clip_worker_raises(corpus):
                    lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL))
         args = build_parser().parse_args([
             "extract", "--manifest", str(pathlib.Path(corpus) / "manifest.csv"),
-            "--feature", "encoder", "--out", str(pathlib.Path(corpus) / "killed")])
+            "--feature", "mfcc_vector", "--out", str(pathlib.Path(corpus) / "killed")])
         with pytest.raises(WorkerDiedError, match="a clip worker died"):
             args.fn(args)

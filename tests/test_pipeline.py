@@ -16,6 +16,7 @@ from voxscreen.audio_io import synth_clip
 from voxscreen.encoder import EncoderConfig
 from voxscreen.errors import ConfigError, FeatureKindMismatchError
 from voxscreen.evaluation import cross_validate, stratified_folds
+from voxscreen.features_io import FEATURE_KINDS
 from voxscreen.learners import CnnConfig, LstmConfig, layers
 from voxscreen.learners.models import MODELS
 from voxscreen.pipeline import extract_matrix, feature_from_matrix, resolve_recipe, validate_recipe
@@ -119,6 +120,26 @@ class TestVectorPooling:
         frames = np.array([[-0.0, 1.0], [-0.0, -0.0]])
         assert np.signbit(feature_from_matrix(frames, "encoder")).tolist() == [True, False]
         assert not np.signbit(oracles.pool_vector(frames, "encoder")).any()  # mean drops it
+
+
+def extract_digests():
+    """sha256 of extract_matrix's bytes for every feature kind, on a 2 s clip
+    and on a 30 s one, where OpenBLAS threads a product as large as the
+    mel sums or the DCT (K = 64) would be."""
+    return {(kind, duration): hashlib.sha256(
+                extract_matrix(synth_clip(1, 9, duration), kind).tobytes()).hexdigest()
+            for duration in (2.0, 30.0) for kind in FEATURE_KINDS}
+
+
+def check_extract_digests(expected):
+    got = extract_digests()
+    assert got == expected, [key for key in expected if got[key] != expected[key]]
+
+
+def test_feature_bytes_ignore_the_blas_thread_count():
+    """The clip pool's one-thread workers extract the bytes this process does."""
+    run_check(f"import test_pipeline; test_pipeline.check_extract_digests({extract_digests()!r})",
+              ONE_BLAS_THREAD, timeout=300)
 
 
 class TestRecipeValidation:
@@ -314,33 +335,61 @@ def test_rebound_trainers_reach_pooled_folds(monkeypatch):
                           == (7 + fold + 1) / 10), (model, feature, fold)
 
 
-# sha256 of report.json and report_roc.csv per supported pairing, recorded
-# before features became one array (numpy 2.4, OpenBLAS, x86-64, under
-# numpy's X86_V4 / AVX-512 CPU dispatch; with those features disabled the
-# float kernels round differently and most pairings' bytes move); the
-# AUC floors elsewhere cannot see a score that drifts in its last bits.
-# The (logreg, encoder) ROC digest is the one recorded after gelu built
-# x^3 from products: that moved the threshold column by at most 4e-16
-# relative. The pow-form digest is still asserted with the oracle gelu.
+# sha256 of report.json and report_roc.csv per supported pairing, one set per
+# numpy CPU dispatch (numpy 2.4, OpenBLAS, x86-64): the exp, log and tanh kernels
+# of X86_V4 (AVX-512) and of X86_V3 (AVX2, recorded under REDUCED_DISPATCH)
+# round some last bits differently, and the AUC floors elsewhere cannot see a
+# score that drifts in its last bits. Each set holds on any CPU or BLAS thread
+# count. The (logreg, encoder) ROC digests are the ones recorded after gelu
+# built x^3 from products: that moved the threshold column by at most 4e-16
+# relative. The pow-form digests are still asserted with the oracle gelu.
 GOLDEN_REPORTS = {
-    ("cnn", "melspec_image"): (
-        "02418d59254be041f1344a9ceacf97308ba278cdfe27c09c281d5bd8520e1d78",
-        "2ff4e73c1fa651a47568de8ccefdf73a2d7d7cf177b81f079f6e199cb880f734"),
-    ("cnn", "mfcc_image"): (
-        "bc10a11e301b3e59348aab1fb8dd283950233955f26c4000b767de85683ee87a",
-        "c728e00628a1128b812cf86409b0d75c22a4f3f6cbb914760601cc25b00d0d39"),
-    ("logreg", "encoder"): (
-        "d48fd6023f3c2947830feee7c8da30834ed2e793002292519788fc4faeb9e55f",
-        "60b62031d5f26c6ff2251b94d05746aa2962068d33c01b34e2bf160483805b01"),
-    ("logreg", "mfcc_vector"): (
-        "f063097e2ac1034605e9539450d722c98a0e4eaece183f7d5b5b1a23d8d4548a",
-        "12589387d51bdbfbe50b78423ea0bbfe5380a9fe6bdeb5c63a523aad7882dc8c"),
-    ("lstm", "mfcc_vector"): (
-        "b83780323f478deebd693de8dae08c36b5773d6cd90781c723847a53b85fe335",
-        "05025d5789e6bee977b2e9ed5bd691e993a6ec7f153a9303212ff7e7d2d04b0c"),
-    ("svm", "mfcc_vector"): (
-        "06493b8040a1b79db457377f73bc4cfeef943e0272f1995363f10e88fd09aaed",
-        "182d50c7c7567fc879924391071c6bba4314851fa480ff1474346f6012703dd2"),
+    "X86_V4": {
+        ("cnn", "melspec_image"): (
+            "02418d59254be041f1344a9ceacf97308ba278cdfe27c09c281d5bd8520e1d78",
+            "7dfa988bb454f6447ffbcdd70c87a73c70e9ada17437fd2f6011ee72b1200a3a"),
+        ("cnn", "mfcc_image"): (
+            "bc10a11e301b3e59348aab1fb8dd283950233955f26c4000b767de85683ee87a",
+            "e51c5e342d2638902d1b0bc379632dd368458e0a289e0ef0983ad8edaace1862"),
+        ("logreg", "encoder"): (
+            "d48fd6023f3c2947830feee7c8da30834ed2e793002292519788fc4faeb9e55f",
+            "60b62031d5f26c6ff2251b94d05746aa2962068d33c01b34e2bf160483805b01"),
+        ("logreg", "mfcc_vector"): (
+            "f063097e2ac1034605e9539450d722c98a0e4eaece183f7d5b5b1a23d8d4548a",
+            "bb84ee29314ce46899b9dbf855c527b7ef597d86f1aa828b3dc981f835220576"),
+        ("lstm", "mfcc_vector"): (
+            "b83780323f478deebd693de8dae08c36b5773d6cd90781c723847a53b85fe335",
+            "c05c31feff6541340ae3a62218ba471da0a2e48521c8b2ff1e2adac0361c56f1"),
+        ("svm", "mfcc_vector"): (
+            "06493b8040a1b79db457377f73bc4cfeef943e0272f1995363f10e88fd09aaed",
+            "cbc81daff72fde905d69bc0bbf78b3b000311204f1acc965d202f80c65248b90"),
+        "pow-form gelu": (
+            "d48fd6023f3c2947830feee7c8da30834ed2e793002292519788fc4faeb9e55f",
+            "384706e13212476acb5d45dab55897b8e2733718df9d178ae958892256c5351a"),
+    },
+    "X86_V3": {
+        ("cnn", "melspec_image"): (
+            "02418d59254be041f1344a9ceacf97308ba278cdfe27c09c281d5bd8520e1d78",
+            "acab83fbcada732bb67cd0842be0e4ddba10cf7410d9392b1a1cfc28bfffefd2"),
+        ("cnn", "mfcc_image"): (
+            "bc10a11e301b3e59348aab1fb8dd283950233955f26c4000b767de85683ee87a",
+            "4e685a5572eda6cf9a149d875de1efae44b58bde9743dfc3a08c9da13d8a9ce8"),
+        ("logreg", "encoder"): (
+            "d48fd6023f3c2947830feee7c8da30834ed2e793002292519788fc4faeb9e55f",
+            "60b62031d5f26c6ff2251b94d05746aa2962068d33c01b34e2bf160483805b01"),
+        ("logreg", "mfcc_vector"): (
+            "f063097e2ac1034605e9539450d722c98a0e4eaece183f7d5b5b1a23d8d4548a",
+            "8668b760a45c4ea1c9b31d946a15db121cee0330b4fd4d136709f78405da9465"),
+        ("lstm", "mfcc_vector"): (
+            "b83780323f478deebd693de8dae08c36b5773d6cd90781c723847a53b85fe335",
+            "92789377efc8a82b9ed73d645cd4db05e2466b9995ae9881fb5157134d55cf79"),
+        ("svm", "mfcc_vector"): (
+            "06493b8040a1b79db457377f73bc4cfeef943e0272f1995363f10e88fd09aaed",
+            "53a0b8c302a6344ca091b61d68b2765499892551de9f30bb7584f557e941abec"),
+        "pow-form gelu": (
+            "d48fd6023f3c2947830feee7c8da30834ed2e793002292519788fc4faeb9e55f",
+            "76903d9c57b76d3abde16c8bf0e69d879f0439d0528ab1a05f023a37dd091d75"),
+    },
 }
 GOLDEN_HYPER = {"cnn": {"epochs": 1, "batch": 4, "filters1": 2, "filters2": 3},
                 "lstm": {"epochs": 2, "hidden": 4, "dense": 3}}
@@ -370,37 +419,61 @@ def _digests(report):
                  for text in (report.to_json(), report.roc_csv()))
 
 
-def _dispatch_note() -> str:
-    """Which numpy CPU dispatch this run uses, against the one the report
-    goldens were recorded under: their float sums follow the dispatched
-    kernels, so another machine class can move them without a regression."""
+def _dispatch() -> str:
+    """The highest numpy dispatch target this run enables, of those the
+    report goldens were recorded under."""
     from numpy._core._multiarray_umath import __cpu_features__
-    enabled = [name for name, on in __cpu_features__.items() if on]
-    return ("report goldens were recorded under X86_V4 (AVX-512) dispatch; "
-            f"X86_V4 is {'on' if 'X86_V4' in enabled else 'OFF'} in this run, "
-            f"which enables {' '.join(enabled) or 'no listed features'}")
+    return next((name for name in ("X86_V4", "X86_V3") if __cpu_features__.get(name)),
+                "neither X86_V4 nor X86_V3")
+
+
+def _goldens(key):
+    dispatch = _dispatch()
+    assert dispatch in GOLDEN_REPORTS, (
+        f"report goldens were recorded under {' and '.join(GOLDEN_REPORTS)} dispatch; "
+        f"this run has {dispatch}, whose float kernels may round differently")
+    return GOLDEN_REPORTS[dispatch][key]
 
 
 @pytest.mark.parametrize("model,feature", PAIRS)
 def test_report_bytes_match_golden(golden_clips, model, feature):
     assert _digests(_golden_report(golden_clips, model, feature)) \
-        == GOLDEN_REPORTS[model, feature], _dispatch_note()
+        == _goldens((model, feature)), _dispatch()
 
 
-def test_pow_form_gelu_reproduces_old_encoder_golden(golden_clips, monkeypatch):
+def check_pow_form_gelu_golden(golden_clips=None):
     """With the pow-form gelu swapped back in, the (logreg, encoder) report
     keeps its pre-change bytes; against the product form, report.json is
     identical and only the ROC thresholds move, in their last bits."""
+    golden_clips = golden_clips or _golden_clip_set()
     fast = _golden_report(golden_clips, "logreg", "encoder")
-    monkeypatch.setattr(layers, "gelu", oracles.gelu)
-    slow = _golden_report(golden_clips, "logreg", "encoder")
-    assert _digests(slow) == (
-        "d48fd6023f3c2947830feee7c8da30834ed2e793002292519788fc4faeb9e55f",
-        "384706e13212476acb5d45dab55897b8e2733718df9d178ae958892256c5351a")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "gelu", oracles.gelu)
+        slow = _golden_report(golden_clips, "logreg", "encoder")
+    assert _digests(slow) == _goldens("pow-form gelu"), _dispatch()
     assert fast.to_json() == slow.to_json()
     assert np.array_equal(fast.pooled_roc.points, slow.pooled_roc.points)
     np.testing.assert_allclose(fast.pooled_roc.thresholds, slow.pooled_roc.thresholds,
                                rtol=1e-12, atol=0)
+
+
+def test_pow_form_gelu_reproduces_old_encoder_golden(golden_clips):
+    check_pow_form_gelu_golden(golden_clips)
+
+
+def check_every_golden():
+    """Every report golden of the dispatch this process runs under."""
+    golden_clips = _golden_clip_set()
+    for model, feature in PAIRS:
+        assert _digests(_golden_report(golden_clips, model, feature)) \
+            == _goldens((model, feature)), (model, feature, _dispatch())
+    check_pow_form_gelu_golden(golden_clips)
+
+
+def test_goldens_of_reduced_dispatch_in_subprocess():
+    """The X86_V3 set is checked on an AVX-512 machine too, under REDUCED_DISPATCH."""
+    run_check("import test_pipeline; test_pipeline.check_every_golden()", REDUCED_DISPATCH,
+              timeout=300)
 
 
 def check_pool_matches_serial(pairs=POOLED_PAIRS, golden_clips=None):
