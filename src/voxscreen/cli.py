@@ -8,6 +8,7 @@ byte for byte. VOXSCREEN_SEED provides the default seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import hashlib
@@ -33,11 +34,22 @@ from .pipeline import extract_matrix, feature_from_matrix, load_clip, validate_r
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("VOXSCREEN_SEED", "0"))
+    seed = os.environ.get("VOXSCREEN_SEED", "0")
+    try:
+        return int(seed)
+    except ValueError:
+        raise ConfigError(f"VOXSCREEN_SEED={seed!r} is not an integer") from None
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:  # a manifest or an index.csv whose bytes do not decode
+        raise CorruptFileError(f"{path}: not {exc.encoding} text (byte {exc.start})") from None
 
 
 def _load_examples(manifest_path: str, cohort: str):
-    return apply_cohort(parse_manifest(Path(manifest_path).read_text()), cohort)
+    return apply_cohort(parse_manifest(_read_text(Path(manifest_path))), cohort)
 
 
 def _write_fingerprint(out_dir: Path, payload: dict) -> None:
@@ -64,7 +76,7 @@ def _feature_params(args) -> tuple[FrameParams, MelParams, str]:
 def _read_index(index_path: Path) -> dict[str, tuple[str, str, str]]:
     """index.csv of an extract output: clip path -> (sha256, params key, feature file)."""
     try:
-        text = index_path.read_text()
+        text = _read_text(index_path)
     except FileNotFoundError:
         raise ConfigError(f"{index_path.parent} has no index.csv, so none of its feature "
                           "files can be trusted; re-extract or point elsewhere") from None
@@ -76,19 +88,28 @@ def _read_index(index_path: Path) -> dict[str, tuple[str, str, str]]:
     return index
 
 
-def _map_clips(fn, clip_paths: list[str], feature: str, frame: FrameParams, mel: MelParams):
-    """fn(clip path) for every path, in order, in the clip pool. What every clip
-    reads is built here once, so each worker inherits it: the encoder's weights,
-    or the mel bank and its bounds at the rate load_clip resamples to."""
-    if clip_paths:
-        if feature == "encoder":
-            seeded_weights(EncoderConfig())
-        else:
-            try:
-                filter_bounds(CANONICAL_RATE, frame, mel)
-            except VoxscreenError:
-                pass  # an infeasible bank: each clip reports it as its own failure
-    return fork_map(fn, clip_paths, "clip", True)
+def _map_clips(args, clip_paths: list[str], keep, check=lambda clip_path: None):
+    """The one per-clip body, in order, in the clip pool: check(clip path), one read
+    of the clip beside the manifest, and keep(clip path, data, extract), where
+    extract() decodes data into the run's feature matrix; a VoxscreenError or
+    OSError is the clip's value. extract adds the owner check, the sha256, the
+    up-to-date skip and the VXF1 write, in the worker; cv adds feature_from_matrix."""
+    frame, mel, _ = _feature_params(args)
+    if clip_paths and args.feature == "encoder":  # built once, before the fork
+        seeded_weights(EncoderConfig())
+    elif clip_paths:
+        with contextlib.suppress(VoxscreenError):  # an infeasible bank: each clip reports it
+            filter_bounds(CANONICAL_RATE, frame, mel)
+
+    def outcome(clip_path: str):
+        try:
+            check(clip_path)
+            data = (Path(args.manifest).parent / clip_path).read_bytes()
+            return keep(clip_path, data, lambda: extract_matrix(
+                load_clip(data), args.feature, frame=frame, mel=mel))
+        except (VoxscreenError, OSError) as exc:
+            return exc
+    return fork_map(outcome, clip_paths, "clip", True)
 
 
 def _feature_name(clip_path: str) -> str:
@@ -98,38 +119,28 @@ def _feature_name(clip_path: str) -> str:
 
 
 def cmd_extract(args) -> int:
-    examples = _load_examples(args.manifest, args.cohort)
+    paths = [ex.clip_path for ex in _load_examples(args.manifest, args.cohort)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    frame, mel, params_key = _feature_params(args)
+    params_key = _feature_params(args)[2]
     index_path = out_dir / "index.csv"
     previous = _read_index(index_path) if index_path.exists() else {}
     index_path.unlink(missing_ok=True)  # written last: an unfinished run leaves none
-    manifest_dir = Path(args.manifest).parent
-    owners = {}  # feature file -> the first clip in the manifest it belongs to
-    for ex in examples:
-        owners.setdefault(_feature_name(ex.clip_path), ex.clip_path)
+    owners = {_feature_name(p): p for p in reversed(paths)}  # feature file -> its first clip
 
-    def extract_clip(clip_path: str):
-        """The clip's index row and whether it was up to date, or its error."""
-        feat_name = _feature_name(clip_path)
-        try:
-            if owners[feat_name] != clip_path:
-                raise ConfigError(f"its feature file {feat_name} belongs to {owners[feat_name]}")
-            data = (manifest_dir / clip_path).read_bytes()
-            row = (clip_path, hashlib.sha256(data).hexdigest(), params_key, feat_name)
-            if previous.get(clip_path) == row[1:] and (out_dir / feat_name).exists():
-                return row, True
-            # the bytes hashed are the bytes decoded
-            matrix = extract_matrix(load_clip(data), args.feature, frame=frame, mel=mel)
-            write_feature(str(out_dir / feat_name), matrix, args.feature)
-            return row, False
-        except (VoxscreenError, OSError) as exc:
-            return exc
+    def check_owner(clip_path: str):
+        if owners[name := _feature_name(clip_path)] != clip_path:
+            raise ConfigError(f"its feature file {name} belongs to {owners[name]}")
+
+    def keep(clip_path: str, data: bytes, extract):  # -> index row, up to date
+        row = (clip_path, hashlib.sha256(data).hexdigest(), params_key, _feature_name(clip_path))
+        fresh = previous.get(clip_path) == row[1:] and (out_dir / row[3]).exists()
+        if not fresh:
+            write_feature(str(out_dir / row[3]), extract(), args.feature)
+        return row, fresh
 
     rows, failures, skipped = [], [], 0
-    paths = [ex.clip_path for ex in examples]
-    for path, outcome in zip(paths, _map_clips(extract_clip, paths, args.feature, frame, mel)):
+    for path, outcome in zip(paths, _map_clips(args, paths, keep, check_owner)):
         if isinstance(outcome, Exception):
             failures.append((path, str(outcome)))
         else:
@@ -155,25 +166,12 @@ def _collect_features(args, examples) -> np.ndarray:
     """Features for cv/gamma-sweep, one row per example: [n, d] vectors or
     [n, 150, 150] gray planes. Read from the files index.csv lists for the
     run's clips and params; clips it does not list are extracted in memory."""
-    frame, mel, params_key = _feature_params(args)
-    manifest_dir = Path(args.manifest).parent
+    params_key = _feature_params(args)[2]
     feature_dir = Path(args.features) if args.features else None
     index = _read_index(feature_dir / "index.csv") if feature_dir else {}
-
-    def extract_clip(clip_path: str):
-        """The clip's feature, or its error: an OSError as it came, a
-        VoxscreenError as one of the same type naming the clip."""
-        try:
-            clip = load_clip((manifest_dir / clip_path).read_bytes())
-            matrix = extract_matrix(clip, args.feature, frame=frame, mel=mel)
-        except OSError as exc:
-            return exc
-        except VoxscreenError as exc:
-            return type(exc)(f"{clip_path}: {exc}")
-        return feature_from_matrix(matrix, args.feature)
-
     unlisted = [ex.clip_path for ex in examples if ex.clip_path not in index]
-    extracted = iter(_map_clips(extract_clip, unlisted, args.feature, frame, mel))
+    extracted = iter(_map_clips(args, unlisted, lambda clip_path, data, extract:
+                                feature_from_matrix(extract(), args.feature)))
     features = []
     for ex in examples:
         listed = index.get(ex.clip_path)
@@ -193,8 +191,9 @@ def _collect_features(args, examples) -> np.ndarray:
             feature = feature_from_matrix(matrix, args.feature)
         else:
             feature = next(extracted)
-            if isinstance(feature, Exception):
-                raise feature
+            if isinstance(feature, Exception):  # a VoxscreenError gets the clip's name
+                raise (feature if isinstance(feature, OSError)
+                       else type(feature)(f"{ex.clip_path}: {feature}"))
         features.append(feature)
         if features[-1].shape != features[0].shape:
             raise CorruptFileError(
@@ -370,8 +369,8 @@ def pin_malloc_thresholds() -> None:
 
 def main(argv=None) -> int:
     pin_malloc_thresholds()
-    args = build_parser().parse_args(argv)
-    try:
+    try:  # the parser reads VOXSCREEN_SEED, which may not be an integer
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (VoxscreenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,6 +45,30 @@ def _counting(monkeypatch, name, fail_on=None, error=RuntimeError):
     return calls
 
 
+def _log_opens(monkeypatch, log_dir, suffixes):
+    """Make open log each path ending in one of suffixes to log_dir/<pid>, in
+    this process and in the workers forked from it, where the parent can read
+    it with _opened."""
+    real_open = io.open
+    log_dir.mkdir()
+
+    def logging_open(file, *args, **kwargs):
+        if str(file).endswith(suffixes):
+            with real_open(log_dir / str(os.getpid()), "a") as log:
+                log.write(f"{file}\n")
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(io, "open", logging_open)  # what pathlib opens files with
+    monkeypatch.setattr(builtins, "open", logging_open)
+
+
+def _opened(log_dir):
+    """{pid: the paths it opened} since the last call, from _log_opens's log."""
+    logged = {int(log.name): log.read_text().splitlines() for log in log_dir.iterdir()}
+    for pid in logged:
+        (log_dir / str(pid)).unlink()
+    return logged
+
+
 def _extract(corpus, out, *flags):
     return main(["extract", "--manifest", str(corpus / "manifest.csv"),
                  "--feature", "mfcc_vector", "--out", str(out), *flags])
@@ -130,14 +154,17 @@ class TestExtract:
         assert _extract(tmp_path, tmp_path / "feats") == 0
         assert "1 up to date" in capsys.readouterr().out
 
-    def test_clips_differing_only_in_suffix(self, corpus, tmp_path, capsys):
+    def test_clips_differing_only_in_suffix(self, corpus, tmp_path, capsys, monkeypatch):
         lines = (corpus / "manifest.csv").read_text().splitlines()
         clip, rest = lines[1].split(",", 1)
         for name in ("x.wav", "x.bin"):
             shutil.copy(corpus / clip, tmp_path / name)
         (tmp_path / "manifest.csv").write_text(f"{lines[0]}\nx.wav,{rest}\nx.bin,{rest}\n")
+        _log_opens(monkeypatch, tmp_path / "opened", (".wav", ".bin"))
         assert _extract(tmp_path, tmp_path / "feats") == 1
         assert "x.bin: its feature file x.vxf belongs to x.wav" in capsys.readouterr().err
+        opened = _opened(tmp_path / "opened")  # the refused clip is never read
+        assert [path for paths in opened.values() for path in paths] == [str(tmp_path / "x.wav")]
         assert (tmp_path / "feats" / "index.csv").read_text().splitlines()[1].startswith("x.wav,")
 
     def test_image_features(self, corpus, tmp_path):
@@ -150,30 +177,21 @@ class TestExtract:
         from voxscreen.pipeline import feature_from_matrix
         assert feature_from_matrix(matrix, "melspec_image") is matrix  # the plane is the feature
 
-    def test_reads_each_clip_once(self, corpus, tmp_path, monkeypatch):
-        """The bytes index.csv hashes are the bytes decoded: one read per clip,
-        in the clip pool and on one CPU. Each process logs the clips it opens
-        to a file named after its pid, which the parent can read."""
-        real_open = io.open
-
-        def counting_open(file, *args, **kwargs):
-            if str(file).endswith(".wav"):
-                with real_open(log_dir / str(os.getpid()), "a") as log:
-                    log.write(f"{file}\n")
-            return real_open(file, *args, **kwargs)
-        monkeypatch.setattr(io, "open", counting_open)  # what pathlib opens files with
-        monkeypatch.setattr(builtins, "open", counting_open)
+    @pytest.mark.parametrize("command", ["extract", "cv"])
+    def test_reads_each_clip_once(self, corpus, tmp_path, monkeypatch, command):
+        """One read per clip, in the clip pool and on one CPU: the bytes extract
+        hashes for index.csv are the bytes it decodes, and cv without --features
+        reads each clip it extracts in memory once."""
+        _log_opens(monkeypatch, tmp_path / "opened", (".wav",))
         clips = sorted(str(p) for p in corpus.glob("*.wav"))
         assert len(clips) == 16
         for cpus in (2, 1):
             usable_cpus(monkeypatch, cpus)
-            log_dir = tmp_path / f"opened{cpus}"
-            log_dir.mkdir()
-            assert _extract(corpus, tmp_path / f"feats{cpus}") == 0
-            logs = list(log_dir.iterdir())
-            assert sorted(line for log in logs for line in log.read_text().splitlines()) \
-                == clips
-            assert (str(os.getpid()) in {log.name for log in logs}) == (cpus == 1)
+            run = _extract if command == "extract" else _cv
+            assert run(corpus, tmp_path / f"out{cpus}") == 0
+            opened = _opened(tmp_path / "opened")
+            assert sorted(path for paths in opened.values() for path in paths) == clips
+            assert (os.getpid() in opened) == (cpus == 1)
 
     def test_unreadable_path_isolated(self, corpus, tmp_path, capsys):
         bad_manifest = tmp_path / "bad.csv"
@@ -280,16 +298,28 @@ class TestCv:
         assert "Traceback" not in err
 
     def test_malformed_index_is_an_error(self, corpus, tmp_path, capsys):
+        """A row short of cells, or bytes that are not text: cv --features and the
+        next extract into the directory both refuse index.csv as corrupt."""
         feats = tmp_path / "feats"
         main(["extract", "--manifest", str(corpus / "manifest.csv"),
               "--feature", "mfcc_vector", "--out", str(feats)])
-        (feats / "index.csv").write_text("path,sha256,params,feature_path\nclip.wav,x\n")
-        capsys.readouterr()
-        code = main(["cv", "--manifest", str(corpus / "manifest.csv"),
-                     "--feature", "mfcc_vector", "--features", str(feats),
-                     "--model", "logreg", "--k", "4", "--out", str(tmp_path / "x")])
-        err = capsys.readouterr().err
-        assert code == 1 and err.startswith("error:") and "line 2" in err
+        cv = ["cv", "--manifest", str(corpus / "manifest.csv"), "--feature", "mfcc_vector",
+              "--features", str(feats), "--model", "logreg", "--k", "4",
+              "--out", str(tmp_path / "x")]
+        extract = ["extract", "--manifest", str(corpus / "manifest.csv"),
+                   "--feature", "mfcc_vector", "--out", str(feats)]
+        for damage, said in [(b"path,sha256,params,feature_path\nclip.wav,x\n", "line 2"),
+                             (b"\xff\xfepath,sha256,params,feature_path\n", "not utf-8 text")]:
+            (feats / "index.csv").write_bytes(damage)
+            for argv in (cv, extract):
+                capsys.readouterr()
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code == 1 and err.startswith("error:") and said in err, (argv[0], err)
+                assert str(feats / "index.csv") in err and "Traceback" not in err
+                args = build_parser().parse_args(argv)
+                with pytest.raises(CorruptFileError):
+                    args.fn(args)
 
     def test_stale_features_refused(self, corpus, tmp_path, capsys):
         feats = tmp_path / "feats20"
@@ -512,6 +542,7 @@ class TestReport:
     ["cv", "--cohort", "everyone"],
     ["cv", "--features", "MISLABELLED"],
     ["cv", "--features", "NARROWED"],
+    ["cv", "--manifest", "NOT_TEXT"],
 ])
 def test_bad_value_is_an_error_line_not_a_traceback(argv, corpus, tmp_path, capsys):
     command, *flags = argv
@@ -520,6 +551,10 @@ def test_bad_value_is_an_error_line_not_a_traceback(argv, corpus, tmp_path, caps
         (tmp_path / "report.json").write_text(flags[0])
         flags = [str(tmp_path / "report.json")]
     else:
+        if damage == "NOT_TEXT":  # a manifest in UTF-16, as some spreadsheets save it
+            flags[-1] = str(tmp_path / "manifest.csv")
+            (tmp_path / "manifest.csv").write_bytes(
+                (corpus / "manifest.csv").read_text().encode("utf-16"))
         if damage in ("MISLABELLED", "NARROWED"):
             flags[-1] = str(tmp_path / "feats")
             _extract(corpus, tmp_path / "feats")
@@ -535,12 +570,21 @@ def test_bad_value_is_an_error_line_not_a_traceback(argv, corpus, tmp_path, caps
     assert main([command, *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    corrupt = command == "report" or damage == "NARROWED"
+    corrupt = command == "report" or damage in ("NARROWED", "NOT_TEXT")
     if damage == "NARROWED":
         assert vxfs[-1].name in err and "(20,)" in err and "(40,)" in err
     args = build_parser().parse_args([command, *flags])
     with pytest.raises(CorruptFileError if corrupt else ConfigError):
         args.fn(args)
+
+
+def test_non_integer_seed_variable_is_an_error_line(tmp_path, monkeypatch, capsys):
+    """build_parser reads VOXSCREEN_SEED for every command's default seed."""
+    monkeypatch.setenv("VOXSCREEN_SEED", "abc")
+    assert main(["report", str(tmp_path / "report.json")]) == 1
+    assert capsys.readouterr().err == "error: VOXSCREEN_SEED='abc' is not an integer\n"
+    with pytest.raises(ConfigError):
+        build_parser()
 
 
 def test_nan_sample_clip_fails_instead_of_hanging(tmp_path, capsys):
