@@ -27,7 +27,7 @@ from .encoder import EncoderConfig, seeded_weights
 from .errors import ConfigError, CorruptFileError, VoxscreenError
 from .evaluation import (DEFAULT_FOLDS, config_fingerprint, cross_validate, report_text,
                          stratified_folds)
-from .features_io import FEATURE_KINDS, read_feature, write_feature
+from .features_io import FEATURE_KINDS, read_feature, stored_form, write_feature
 from .forkmap import fork_map
 from .learners.models import MODELS
 from .pipeline import extract_matrix, feature_from_matrix, load_clip, validate_recipe
@@ -93,7 +93,8 @@ def _map_clips(args, clip_paths: list[str], keep, check=lambda clip_path: None):
     of the clip beside the manifest, and keep(clip path, data, extract), where
     extract() decodes data into the run's feature matrix; a VoxscreenError or
     OSError is the clip's value. extract adds the owner check, the sha256, the
-    up-to-date skip and the VXF1 write, in the worker; cv adds feature_from_matrix."""
+    up-to-date skip and the VXF1 write, in the worker; cv adds the VXF1 stored
+    form and feature_from_matrix."""
     frame, mel, _ = _feature_params(args)
     if clip_paths and args.feature == "encoder":  # built once, before the fork
         seeded_weights(EncoderConfig())
@@ -165,13 +166,15 @@ def cmd_extract(args) -> int:
 def _collect_features(args, examples) -> np.ndarray:
     """Features for cv/gamma-sweep, one row per example: [n, d] vectors or
     [n, 150, 150] gray planes. Read from the files index.csv lists for the
-    run's clips and params; clips it does not list are extracted in memory."""
+    run's clips and params; clips it does not list are extracted in memory and
+    rounded to the stored form read_feature returns, so listing changes no byte."""
     params_key = _feature_params(args)[2]
     feature_dir = Path(args.features) if args.features else None
     index = _read_index(feature_dir / "index.csv") if feature_dir else {}
     unlisted = [ex.clip_path for ex in examples if ex.clip_path not in index]
     extracted = iter(_map_clips(args, unlisted, lambda clip_path, data, extract:
-                                feature_from_matrix(extract(), args.feature)))
+                                feature_from_matrix(stored_form(extract()).astype(np.float64),
+                                                    args.feature)))
     features = []
     for ex in examples:
         listed = index.get(ex.clip_path)

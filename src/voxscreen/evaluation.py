@@ -57,19 +57,7 @@ def stratified_folds(labels, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldPlan:
     return FoldPlan(k=k, assignments=assignments)
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-def confusion_at_threshold(scores, labels) -> ConfusionCounts:
+def confusion_at_threshold(scores, labels) -> dict[str, int]:
     """Predict positive iff score >= DEFAULT_THRESHOLD, then count outcomes."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -77,28 +65,26 @@ def confusion_at_threshold(scores, labels) -> ConfusionCounts:
         raise LengthMismatchError(f"{len(scores)} scores vs {len(labels)} labels")
     pred = scores >= DEFAULT_THRESHOLD
     pos = labels == 1
-    return ConfusionCounts(
-        tp=int(np.sum(pred & pos)),
-        fp=int(np.sum(pred & ~pos)),
-        tn=int(np.sum(~pred & ~pos)),
-        fn=int(np.sum(~pred & pos)),
-    )
+    return {"tp": int(np.sum(pred & pos)), "fp": int(np.sum(pred & ~pos)),
+            "tn": int(np.sum(~pred & ~pos)), "fn": int(np.sum(~pred & pos))}
 
 
-def metrics(c: ConfusionCounts) -> dict[str, float | None]:
-    """The five screening metrics; undefined ratios come back as None."""
-    if c.total == 0:
+def metrics(c: dict[str, int]) -> dict[str, float | None]:
+    """The five screening metrics of a confusion dict; undefined ratios come back as None."""
+    tp, fp, tn, fn = c["tp"], c["fp"], c["tn"], c["fn"]
+    total = tp + fp + tn + fn
+    if total == 0:
         raise EmptyEvaluationError("no examples evaluated")
 
     def ratio(num, den):
         return num / den if den else None
 
     return {
-        "accuracy": (c.tp + c.tn) / c.total,
-        "sensitivity": ratio(c.tp, c.tp + c.fn),
-        "specificity": ratio(c.tn, c.tn + c.fp),
-        "ppv": ratio(c.tp, c.tp + c.fp),
-        "npv": ratio(c.tn, c.tn + c.fn),
+        "accuracy": (tp + tn) / total,
+        "sensitivity": ratio(tp, tp + fn),
+        "specificity": ratio(tn, tn + fp),
+        "ppv": ratio(tp, tp + fp),
+        "npv": ratio(tn, tn + fn),
     }
 
 
@@ -139,53 +125,18 @@ def roc_auc(scores, labels) -> RocCurve:
 
 @dataclass
 class EvaluationReport:
-    """Per-fold metrics plus pooled ROC and aggregate cells."""
+    """The report document, as report.json holds it, plus the pooled ROC and
+    out-of-fold scores it summarises."""
 
-    k: int
-    seed: int
-    recipe: dict
-    fold_metrics: list[dict[str, float | None]]
-    fold_aucs: list[float]
+    document: dict  # fingerprint, recipe, k, seed, folds, aggregate, cells, AUCs
     pooled_roc: RocCurve
-    confusions: list[ConfusionCounts]
-    fingerprint: str
     pooled_scores: np.ndarray  # out-of-fold, example order
 
-    def aggregate(self) -> dict[str, tuple[float, float] | None]:
-        """Mean and population std of each metric over defined folds."""
-        out = {}
-        for name in METRIC_NAMES:
-            vals = [m[name] for m in self.fold_metrics if m[name] is not None]
-            out[name] = (float(np.mean(vals)), float(np.std(vals))) if vals else None
-        return out
-
-    def cells(self) -> dict[str, str]:
-        """Two-decimal "m±s" strings, the table format of the write-up."""
-        return {name: "undefined" if agg is None else f"{agg[0]:.2f}±{agg[1]:.2f}"
-                for name, agg in self.aggregate().items()}
-
-    def document(self) -> dict:
-        """The report as report.json holds it."""
-        return {
-            "fingerprint": self.fingerprint,
-            "recipe": self.recipe,
-            "k": self.k,
-            "seed": self.seed,
-            "folds": [{"metrics": m, "auc": auc,
-                       "confusion": {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn}}
-                      for m, auc, c in zip(self.fold_metrics, self.fold_aucs, self.confusions)],
-            "aggregate": {k: (list(v) if v else None)
-                          for k, v in self.aggregate().items()},
-            "cells": self.cells(),
-            "pooled_auc": self.pooled_roc.auc,
-            "mean_fold_auc": float(np.mean(self.fold_aucs)),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.document(), indent=2, sort_keys=True)
+        return json.dumps(self.document, indent=2, sort_keys=True)
 
     def to_table(self) -> str:
-        return report_text(self.document())
+        return report_text(self.document)
 
     def roc_csv(self) -> str:
         rows = zip(self.pooled_roc.thresholds, self.pooled_roc.points)
@@ -241,23 +192,27 @@ def cross_validate(features, labels, recipe: dict, k: int = DEFAULT_FOLDS,
         return np.asarray(model.score_batch(features[plan.test_indices(fold)]))
     all_scores = fork_map(fold_scores, range(k), "fold",
                           getattr(MODELS.get(recipe.get("model")), "pooled", False))
-    fold_metrics, fold_aucs, confusions = [], [], []
-    pooled_scores = np.zeros(len(labels))
+    folds, pooled_scores = [], np.zeros(len(labels))
     for fold, scores in enumerate(all_scores):
         test_ids = plan.test_indices(fold)
         pooled_scores[test_ids] = scores
-        conf = confusion_at_threshold(scores, labels[test_ids])
-        confusions.append(conf)
-        fold_metrics.append(metrics(conf))
-        fold_aucs.append(roc_auc(scores, labels[test_ids]).auc)
-
-    fingerprint = config_fingerprint(
-        {"recipe": recipe, "k": k, "seed": seed, "n": len(labels),
-         "labels_sha": hashlib.sha256(labels.tobytes()).hexdigest()[:8]})
-    return EvaluationReport(
-        k=k, seed=seed, recipe=recipe,
-        fold_metrics=fold_metrics, fold_aucs=fold_aucs,
-        pooled_roc=roc_auc(pooled_scores, labels),
-        confusions=confusions, fingerprint=fingerprint,
-        pooled_scores=pooled_scores,
-    )
+        confusion = confusion_at_threshold(scores, labels[test_ids])
+        folds.append({"metrics": metrics(confusion), "confusion": confusion,
+                      "auc": roc_auc(scores, labels[test_ids]).auc})
+    aggregate = {}  # mean and population std of each metric over the folds defining it
+    for name in METRIC_NAMES:
+        vals = [f["metrics"][name] for f in folds if f["metrics"][name] is not None]
+        aggregate[name] = [float(np.mean(vals)), float(np.std(vals))] if vals else None
+    pooled_roc = roc_auc(pooled_scores, labels)
+    document = {
+        "fingerprint": config_fingerprint(
+            {"recipe": recipe, "k": k, "seed": seed, "n": len(labels),
+             "labels_sha": hashlib.sha256(labels.tobytes()).hexdigest()[:8]}),
+        "recipe": recipe, "k": k, "seed": seed, "folds": folds, "aggregate": aggregate,
+        "cells": {name: "undefined" if agg is None else f"{agg[0]:.2f}±{agg[1]:.2f}"
+                  for name, agg in aggregate.items()},  # the write-up's table format
+        "pooled_auc": pooled_roc.auc,
+        "mean_fold_auc": float(np.mean([f["auc"] for f in folds])),
+    }
+    return EvaluationReport(document=document, pooled_roc=pooled_roc,
+                            pooled_scores=pooled_scores)

@@ -17,15 +17,20 @@ FEATURE_MAGIC = b"VXF1"
 _HEADER = struct.Struct("<4sIIB")
 
 
+def stored_form(matrix: np.ndarray) -> np.ndarray:
+    """A feature matrix as a VXF1 file holds it: 2-D little-endian float32."""
+    return np.atleast_2d(np.asarray(matrix, dtype=np.float64)).astype("<f4")
+
+
 def write_feature(path: str, matrix: np.ndarray, feature_kind: str) -> None:
-    """Dump a 2-D float matrix with its feature kind's tag byte."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    """Dump a 2-D float matrix in its stored form with its feature kind's tag byte."""
+    matrix = stored_form(matrix)
     rows, cols = matrix.shape
     if matrix.size == 0:  # read_feature refuses it; leave no file behind
         raise EmptyDataError(f"{path}: cannot store an empty {rows}x{cols} VXF1 matrix")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(FEATURE_MAGIC, rows, cols, FEATURE_TAGS[feature_kind]))
-        fh.write(matrix.astype("<f4").tobytes())
+        fh.write(matrix.tobytes())
 
 
 def read_feature(path: str) -> tuple[np.ndarray, str]:

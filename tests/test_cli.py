@@ -74,6 +74,12 @@ def _extract(corpus, out, *flags):
                  "--feature", "mfcc_vector", "--out", str(out), *flags])
 
 
+def _assert_same_cv_outputs(out, other):
+    """Every file cv writes is byte-equal in the two output directories."""
+    for name in ("report.json", "report.txt", "report_roc.csv", "fingerprint.json"):
+        assert (out / name).read_bytes() == (other / name).read_bytes(), name
+
+
 def _cv(corpus, out, *flags):
     return main(["cv", "--manifest", str(corpus / "manifest.csv"),
                  "--feature", "mfcc_vector", "--model", "logreg",
@@ -351,8 +357,19 @@ class TestCv:
         assert (tmp_path / "feats" / "p03%2Fcough.vxf").exists()
         assert _cv(folders, tmp_path / "disk", "--features", str(tmp_path / "feats")) == 0
         assert _cv(folders, tmp_path / "memory") == 0
-        assert (tmp_path / "disk" / "report.json").read_bytes() == \
-            (tmp_path / "memory" / "report.json").read_bytes()
+        _assert_same_cv_outputs(tmp_path / "disk", tmp_path / "memory")
+
+    def test_index_listing_half_the_clips(self, corpus, tmp_path):
+        """Listed clips are read from VXF1 and the others extracted in memory;
+        both forms agree, so the outputs equal those of a full index."""
+        assert _extract(corpus, tmp_path / "feats") == 0
+        half = tmp_path / "half"
+        shutil.copytree(tmp_path / "feats", half)
+        index_rows = (half / "index.csv").read_text().splitlines()
+        (half / "index.csv").write_text("\n".join(index_rows[:1] + index_rows[1::2]) + "\n")
+        assert _cv(corpus, tmp_path / "disk", "--features", str(tmp_path / "feats")) == 0
+        assert _cv(corpus, tmp_path / "mixed", "--features", str(half)) == 0
+        _assert_same_cv_outputs(tmp_path / "disk", tmp_path / "mixed")
 
     def test_directory_without_index_refused(self, corpus, tmp_path, capsys):
         _extract(corpus, tmp_path / "feats")

@@ -2,6 +2,8 @@
 
 import json
 import os
+import pathlib
+import re
 import signal
 import time
 
@@ -21,7 +23,6 @@ from voxscreen.errors import (
     WorkerDiedError,
 )
 from voxscreen.evaluation import (
-    ConfusionCounts,
     confusion_at_threshold,
     cross_validate,
     metrics,
@@ -92,15 +93,15 @@ class TestStratifiedFolds:
 class TestConfusion:
     def test_perfectly_separated(self):
         c = confusion_at_threshold([0.9, 0.8, 0.3, 0.1], [1, 1, 0, 0])
-        assert (c.tp, c.fp, c.tn, c.fn) == (2, 0, 2, 0)
+        assert c == {"tp": 2, "fp": 0, "tn": 2, "fn": 0}
 
     def test_threshold_is_inclusive(self):
         c = confusion_at_threshold([0.5, 0.5], [1, 0])
-        assert (c.tp, c.fp, c.tn, c.fn) == (1, 1, 0, 0)
+        assert c == {"tp": 1, "fp": 1, "tn": 0, "fn": 0}
 
     def test_hand_case(self):
         c = confusion_at_threshold([0.6, 0.4], [0, 1])
-        assert (c.tp, c.fp, c.tn, c.fn) == (0, 1, 0, 1)
+        assert c == {"tp": 0, "fp": 1, "tn": 0, "fn": 1}
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -109,7 +110,7 @@ class TestConfusion:
 
 class TestMetrics:
     def test_hand_arithmetic(self):
-        m = metrics(ConfusionCounts(tp=8, fp=5, tn=85, fn=2))
+        m = metrics({"tp": 8, "fp": 5, "tn": 85, "fn": 2})
         assert m["sensitivity"] == 0.8
         assert abs(m["specificity"] - 85 / 90) < 1e-12
         assert m["ppv"] == 8 / 13
@@ -117,17 +118,17 @@ class TestMetrics:
         assert m["accuracy"] == 0.93
 
     def test_undefined_ratio_is_none(self):
-        m = metrics(ConfusionCounts(tp=0, fp=0, tn=5, fn=5))
+        m = metrics({"tp": 0, "fp": 0, "tn": 5, "fn": 5})
         assert m["ppv"] is None
         assert m["sensitivity"] == 0.0
 
     def test_perfect_classifier(self):
-        m = metrics(ConfusionCounts(tp=10, fp=0, tn=10, fn=0))
+        m = metrics({"tp": 10, "fp": 0, "tn": 10, "fn": 0})
         assert all(v == 1.0 for v in m.values())
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyEvaluationError):
-            metrics(ConfusionCounts(0, 0, 0, 0))
+            metrics({"tp": 0, "fp": 0, "tn": 0, "fn": 0})
 
 
 class TestRocAuc:
@@ -252,10 +253,11 @@ class TestCrossValidate:
         report = cross_validate(feats, labels, {"model": "toy"}, k=5, seed=0,
                                 fit_fn=_mean_threshold_fit)
         plan_counts = []
-        for fold, conf in enumerate(report.confusions):
-            assert conf.tp + conf.fn == 6  # fold positives
-            assert conf.tn + conf.fp == 6  # fold negatives
-            plan_counts.append(conf.total)
+        for fold in report.document["folds"]:
+            conf = fold["confusion"]
+            assert conf["tp"] + conf["fn"] == 6  # fold positives
+            assert conf["tn"] + conf["fp"] == 6  # fold negatives
+            plan_counts.append(sum(conf.values()))
         assert sum(plan_counts) == 60
 
     def test_aggregate_regenerates_from_folds(self):
@@ -266,9 +268,10 @@ class TestCrossValidate:
         labels[:2] = [0, 1]
         report = cross_validate(feats, labels, {"model": "toy"}, k=5, seed=1,
                                 fit_fn=_mean_threshold_fit)
-        agg = report.aggregate()
+        agg = report.document["aggregate"]
         for name, pair in agg.items():
-            vals = [m[name] for m in report.fold_metrics if m[name] is not None]
+            vals = [fold["metrics"][name] for fold in report.document["folds"]
+                    if fold["metrics"][name] is not None]
             if pair is None:
                 assert not vals
             else:
@@ -306,6 +309,14 @@ class TestCrossValidate:
         csv_lines = report.roc_csv().strip().splitlines()
         assert csv_lines[0] == "threshold,fpr,tpr"
         assert len(csv_lines) == len(report.pooled_roc.points) + 1
+
+
+def test_readme_library_example_runs(capsys):
+    """README's Library use block runs as written: 40 one-second clips, an svm, k=10."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    [block] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("{'accuracy': ")
 
 
 def _toy_data():

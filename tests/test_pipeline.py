@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import os
 import sys
 from collections import Counter
@@ -204,7 +205,7 @@ class TestEncoderHeadPath:
                                 {"model": "logreg", "feature": "encoder"},
                                 k=2, seed=0)
         assert 0.0 <= report.pooled_roc.auc <= 1.0
-        assert len(report.fold_metrics) == 2
+        assert len(report.document["folds"]) == 2
 
 
 class TestResolvedFitFunctions:
@@ -439,6 +440,25 @@ def _goldens(key):
 def test_report_bytes_match_golden(golden_clips, model, feature):
     assert _digests(_golden_report(golden_clips, model, feature)) \
         == _goldens((model, feature)), _dispatch()
+
+
+def _json_types(value):
+    """value with each container and leaf replaced by its exact type name, so a
+    tuple or a numpy scalar reads differently from the list or float json gives."""
+    if type(value) is dict:
+        return {key: _json_types(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_json_types(item) for item in value]
+    return type(value).__name__
+
+
+@pytest.mark.parametrize("model,feature", [("logreg", "mfcc_vector"), ("cnn", "mfcc_image")],
+                         ids=["serial", "pooled"])
+def test_document_is_what_report_json_holds(golden_clips, model, feature):
+    report = _golden_report(golden_clips, model, feature)
+    read_back = json.loads(report.to_json())
+    assert read_back == report.document
+    assert _json_types(read_back) == _json_types(report.document)
 
 
 def check_pow_form_gelu_golden(golden_clips=None):
