@@ -1,6 +1,9 @@
 """RBF-kernel support vector machine trained by sequential minimal
-optimization (pairwise dual updates with the |E1 - E2| second-choice
-heuristic, deterministic tie-breaking by lowest index)."""
+optimization with second-order working-set selection (Fan, Chen & Lin,
+2005, as in LIBSVM): each step pairs the maximal violator with the
+partner of largest second-order gain, ties broken by lowest index.
+`converged` means the violation gap m(alpha) - M(alpha) fell below tol
+within a budget of max_passes * n steps."""
 
 from __future__ import annotations
 
@@ -16,13 +19,20 @@ SVM_GAMMA = 0.001
 SVM_TOL = 1e-3
 SVM_MAX_PASSES = 200
 
-_STEP_EPS = 1e-12
+_TAU = 1e-12  # curvature taken along a flat direction, and the snap width as a share of C
 
 
 def rbf_gram(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """Kernel matrix K[i, j] = exp(-gamma ||a_i - b_j||^2)."""
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * a @ b.T
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    """Kernel matrix K[i, j] = exp(-gamma ||a_i - b_j||^2).
+
+    The squared distances are summed feature by feature from exact
+    differences, with no BLAS product: rbf_gram(x, x) is exactly symmetric
+    with a unit diagonal, and its bytes do not depend on the thread count.
+    """
+    sq = np.zeros((len(a), len(b)))
+    for k in range(a.shape[1]):
+        sq += (a[:, k, None] - b[None, :, k]) ** 2
+    return np.exp(-gamma * sq)
 
 
 @dataclass
@@ -31,7 +41,7 @@ class SvmModel:
     dual_coefs: np.ndarray       # alpha_i * y_i per support vector
     bias: float
     gamma: float
-    converged: bool  # False when SMO's sweep budget ran out
+    converged: bool  # the gap m - M fell below tol within max_passes * n steps
 
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
@@ -46,127 +56,48 @@ class SvmModel:
         return sigmoid(self.decision_values(rows))
 
 
-class _SmoState:
-    """Working state of the solver: alphas, bias and the error cache
-    E_i = f(x_i) - y_i kept exact under every pairwise update."""
-
-    def __init__(self, kernel: np.ndarray, y: np.ndarray, C: float, tol: float):
-        self.K = kernel
-        self.y = y
-        self.C = C
-        self.tol = tol
-        n = len(y)
-        self.alphas = np.zeros(n)
-        self.b = 0.0
-        self.errors = -y.astype(np.float64)  # f = 0 initially
-
-    def objective(self, alphas: np.ndarray) -> float:
-        ay = alphas * self.y
-        return alphas.sum() - 0.5 * ay @ self.K @ ay
-
-    def take_step(self, i1: int, i2: int) -> bool:
-        if i1 == i2:
-            return False
-        a1_old, a2_old = self.alphas[i1], self.alphas[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        e1, e2 = self.errors[i1], self.errors[i2]
-        s = y1 * y2
-        if s > 0:
-            lo = max(0.0, a1_old + a2_old - self.C)
-            hi = min(self.C, a1_old + a2_old)
-        else:
-            lo = max(0.0, a2_old - a1_old)
-            hi = min(self.C, self.C + a2_old - a1_old)
-        if lo >= hi:
-            return False
-
-        k11, k22, k12 = self.K[i1, i1], self.K[i2, i2], self.K[i1, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > _STEP_EPS:
-            a2 = a2_old + y2 * (e1 - e2) / eta
-            a2 = min(max(a2, lo), hi)
-        else:
-            # degenerate direction (duplicate points): compare the dual
-            # objective at both clip ends and move only on a strict win
-            trial = self.alphas.copy()
-            trial[i2] = lo
-            trial[i1] = a1_old + s * (a2_old - lo)
-            obj_lo = self.objective(trial)
-            trial[i2] = hi
-            trial[i1] = a1_old + s * (a2_old - hi)
-            obj_hi = self.objective(trial)
-            if obj_lo > obj_hi + _STEP_EPS:
-                a2 = lo
-            elif obj_hi > obj_lo + _STEP_EPS:
-                a2 = hi
-            else:
-                return False
-        if abs(a2 - a2_old) < _STEP_EPS * (a2 + a2_old + _STEP_EPS):
-            return False
-        a1 = a1_old + s * (a2_old - a2)
-
-        d1, d2 = y1 * (a1 - a1_old), y2 * (a2 - a2_old)
-        b1 = self.b - e1 - d1 * k11 - d2 * k12
-        b2 = self.b - e2 - d1 * k12 - d2 * k22
-        if 0.0 < a1 < self.C:
-            b_new = b1
-        elif 0.0 < a2 < self.C:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-
-        self.errors += d1 * self.K[i1] + d2 * self.K[i2] + (b_new - self.b)
-        self.alphas[i1], self.alphas[i2] = a1, a2
-        self.b = b_new
-        return True
-
-    def examine(self, i2: int) -> bool:
-        y2, a2, e2 = self.y[i2], self.alphas[i2], self.errors[i2]
-        r2 = e2 * y2
-        if not ((r2 < -self.tol and a2 < self.C) or (r2 > self.tol and a2 > 0.0)):
-            return False
-        non_bound = np.flatnonzero((self.alphas > 0.0) & (self.alphas < self.C))
-        if len(non_bound):
-            # second-choice heuristic: maximize |E1 - E2|, first index wins ties
-            i1 = int(non_bound[np.argmax(np.abs(self.errors[non_bound] - e2))])
-            if self.take_step(i1, i2):
-                return True
-            for i1 in non_bound:
-                if self.take_step(int(i1), i2):
-                    return True
-        for i1 in range(len(self.y)):
-            if self.take_step(i1, i2):
-                return True
-        return False
-
-
 def smo_solve(rows: np.ndarray, y_pm: np.ndarray, C: float, gamma: float,
               tol: float, max_passes: int) -> tuple[np.ndarray, float, bool]:
-    """Run SMO to KKT-satisfaction within tol.
+    """Minimize the dual 0.5 a'Qa - sum(a), Q = yy'K, over 0 <= a <= C, y'a = 0.
 
-    Returns (alphas, bias, converged); converged is False only when the
-    full-sweep budget ran out with violations still present.
+    Keeps the gradient G = Qa - 1. With s = -y G, i is the maximal s in
+    I_up (rows whose y_i a_i may grow) and M the minimal s in I_low (rows
+    whose y_i a_i may shrink). Returns (alphas, bias, converged):
+    converged means the gap m - M fell below tol, so every KKT condition
+    holds at tol, within a budget of max_passes * n steps.
     """
-    state = _SmoState(rbf_gram(rows, rows, gamma), y_pm, C, tol)
-    examine_all = True
-    full_sweeps = 0
-    changed = 1
-    while changed > 0 or examine_all:
-        changed = 0
-        if examine_all:
-            full_sweeps += 1
-            if full_sweeps > max_passes:
-                return state.alphas, state.b, False
-            for i in range(len(y_pm)):
-                changed += state.examine(i)
-        else:
-            for i in np.flatnonzero((state.alphas > 0.0) & (state.alphas < C)):
-                changed += state.examine(int(i))
-        if examine_all:
-            examine_all = False
-        elif changed == 0:
-            examine_all = True
-    return state.alphas, state.b, True
+    kernel = rbf_gram(rows, rows, gamma)
+    y = np.asarray(y_pm, dtype=np.float64)
+    alphas = np.zeros(len(y))
+    grad = -np.ones(len(y))
+    for step in range(max_passes * len(y) + 1):
+        score = -y * grad
+        up = np.where(y > 0, alphas < C, alphas > 0.0)
+        low = np.where(y > 0, alphas > 0.0, alphas < C)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        m, big_m = score[i], np.min(score, where=low, initial=np.inf)
+        if m - big_m < tol or step == max_passes * len(y):
+            break
+        # partner j: the largest decrease of the dual along the pair
+        # (i, j) under the unclipped Newton step; K has a unit diagonal
+        gap = m - score
+        curve = 2.0 - 2.0 * kernel[i]
+        curve[curve <= 0.0] = _TAU
+        j = int(np.argmin(np.where(low & (gap > 0.0), -gap * gap / curve, np.inf)))
+        # y_i a_i grows and y_j a_j shrinks by t, clipped to the box
+        t = min(gap[j] / curve[j],
+                C - alphas[i] if y[i] > 0 else alphas[i],
+                alphas[j] if y[j] > 0 else C - alphas[j])
+        new = np.array([alphas[i] + y[i] * t, alphas[j] - y[j] * t])
+        # snap to the bounds, or a step of 1e-16 towards C repeats forever
+        new[new <= _TAU * C] = 0.0
+        new[new >= C - _TAU * C] = C
+        delta = (new - alphas[[i, j]]) * y[[i, j]]
+        alphas[i], alphas[j] = new
+        grad += y * (delta[0] * kernel[i] + delta[1] * kernel[j])
+    free = (alphas > 0.0) & (alphas < C)
+    bias = float(np.mean(score[free])) if free.any() else float(m + big_m) / 2
+    return alphas, bias, bool(m - big_m < tol)
 
 
 def train_svm_smo(rows, labels, C: float = SVM_C, gamma: float = SVM_GAMMA,
