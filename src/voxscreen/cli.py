@@ -73,6 +73,9 @@ def _feature_params(args) -> tuple[FrameParams, MelParams, str]:
             f"{args.feature}:{args.frame_length}:{args.hop_length}:{args.n_mels}:{args.n_mfcc}")
 
 
+_INDEX_HEADER = ["path", "sha256", "params", "feature_path"]
+
+
 def _read_index(index_path: Path) -> dict[str, tuple[str, str, str]]:
     """index.csv of an extract output: clip path -> (sha256, params key, feature file)."""
     try:
@@ -80,8 +83,11 @@ def _read_index(index_path: Path) -> dict[str, tuple[str, str, str]]:
     except FileNotFoundError:
         raise ConfigError(f"{index_path.parent} has no index.csv, so none of its feature "
                           "files can be trusted; re-extract or point elsewhere") from None
+    rows = list(csv.reader(text.splitlines()))
+    if rows[:1] != [_INDEX_HEADER]:
+        raise CorruptFileError(f"{index_path}: line 1 is not the header {','.join(_INDEX_HEADER)}")
     index = {}
-    for n, cells in enumerate(list(csv.reader(text.splitlines()))[1:], start=2):
+    for n, cells in enumerate(rows[1:], start=2):
         if len(cells) != 4:
             raise CorruptFileError(f"{index_path}: line {n} does not have 4 cells")
         index[cells[0]] = tuple(cells[1:])
@@ -151,7 +157,7 @@ def cmd_extract(args) -> int:
     partial = out_dir / "index.csv.tmp"
     with open(partial, "w", newline="") as fh:  # csv, like the manifest: paths may hold commas
         csv.writer(fh, lineterminator="\n").writerows(
-            [("path", "sha256", "params", "feature_path"), *rows])
+            [_INDEX_HEADER, *rows])
     os.replace(partial, index_path)
     _write_fingerprint(out_dir, {
         "command": "extract", "manifest": args.manifest, "cohort": args.cohort,

@@ -133,14 +133,9 @@ def apply_cohort(examples: list[LabeledExample], cohort: str) -> list[LabeledExa
         days = 0
     if days <= 0:
         raise ConfigError(f"cohort {cohort!r} needs a whole number of days > 0")
-    kept, dropped = [], 0
-    for ex in examples:
-        if ex.label == 0:
-            kept.append(ex)
-        elif ex.test_delay_days is None:
-            dropped += 1
-        elif ex.test_delay_days <= days:
-            kept.append(ex)
+    kept = [ex for ex in examples if ex.label == 0
+            or (ex.test_delay_days is not None and ex.test_delay_days <= days)]
+    dropped = sum(ex.label != 0 and ex.test_delay_days is None for ex in examples)
     if dropped:
         warnings.warn(
             f"{dropped} positive rows lack delay metadata and were excluded",

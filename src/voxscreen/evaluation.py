@@ -24,20 +24,14 @@ DEFAULT_THRESHOLD = 0.5
 DEFAULT_FOLDS = 10
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    k: int
-    assignments: np.ndarray  # example index -> fold index
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments != fold)
+def _check_binary(labels: np.ndarray) -> None:
+    """ConfigError naming the first label that is neither 0 nor 1."""
+    if len(other := labels[(labels != 0) & (labels != 1)]):
+        raise ConfigError(f"label {other[0]}: labels must be 0 or 1")
 
 
-def stratified_folds(labels, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldPlan:
-    """Shuffle within each class, deal round-robin into k folds.
+def stratified_folds(labels, k: int = DEFAULT_FOLDS, seed: int = 0) -> np.ndarray:
+    """Each example's fold in [0, k): shuffle within each class, deal round-robin.
 
     Keeps per-fold class counts within one of perfect balance, the
     stratification the screening protocol requires.
@@ -45,7 +39,8 @@ def stratified_folds(labels, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldPlan:
     labels = np.asarray(labels)
     if k < 2:
         raise ConfigError(f"k={k}: cross-validation needs at least 2 folds")
-    assignments = np.full(len(labels), -1, dtype=np.int64)
+    _check_binary(labels)
+    folds = np.empty(len(labels), dtype=np.int64)
     rng = np.random.default_rng(seed)
     for cls in (0, 1):
         members = np.flatnonzero(labels == cls)
@@ -53,8 +48,8 @@ def stratified_folds(labels, k: int = DEFAULT_FOLDS, seed: int = 0) -> FoldPlan:
             raise InsufficientClassCountError(
                 f"class {cls} has {len(members)} examples, fewer than k={k}")
         shuffled = rng.permutation(members)
-        assignments[shuffled] = np.arange(len(shuffled)) % k
-    return FoldPlan(k=k, assignments=assignments)
+        folds[shuffled] = np.arange(len(shuffled)) % k
+    return folds
 
 
 def confusion_at_threshold(scores, labels) -> dict[str, int]:
@@ -107,6 +102,7 @@ def roc_auc(scores, labels) -> RocCurve:
     labels = np.asarray(labels)
     if len(scores) != len(labels):
         raise LengthMismatchError(f"{len(scores)} scores vs {len(labels)} labels")
+    _check_binary(labels)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
@@ -183,36 +179,36 @@ def cross_validate(features, labels, recipe: dict, k: int = DEFAULT_FOLDS,
         from .pipeline import resolve_recipe
         fit_fn = resolve_recipe(recipe)
 
-    plan = stratified_folds(labels, k=k, seed=seed)
+    folds = stratified_folds(labels, k=k, seed=seed)
 
     def fold_scores(fold: int) -> np.ndarray:
         """Fit on every row outside the fold, seeded seed + fold; score the fold's rows."""
-        train_ids = plan.train_indices(fold)
-        model = fit_fn(features[train_ids], labels[train_ids], seed + fold)
-        return np.asarray(model.score_batch(features[plan.test_indices(fold)]))
+        train = folds != fold
+        model = fit_fn(features[train], labels[train], seed + fold)
+        return np.asarray(model.score_batch(features[folds == fold]))
     all_scores = fork_map(fold_scores, range(k), "fold",
                           getattr(MODELS.get(recipe.get("model")), "pooled", False))
-    folds, pooled_scores = [], np.zeros(len(labels))
+    records, pooled_scores = [], np.zeros(len(labels))
     for fold, scores in enumerate(all_scores):
-        test_ids = plan.test_indices(fold)
-        pooled_scores[test_ids] = scores
-        confusion = confusion_at_threshold(scores, labels[test_ids])
-        folds.append({"metrics": metrics(confusion), "confusion": confusion,
-                      "auc": roc_auc(scores, labels[test_ids]).auc})
+        test = folds == fold
+        pooled_scores[test] = scores
+        confusion = confusion_at_threshold(scores, labels[test])
+        records.append({"metrics": metrics(confusion), "confusion": confusion,
+                        "auc": roc_auc(scores, labels[test]).auc})
     aggregate = {}  # mean and population std of each metric over the folds defining it
     for name in METRIC_NAMES:
-        vals = [f["metrics"][name] for f in folds if f["metrics"][name] is not None]
+        vals = [f["metrics"][name] for f in records if f["metrics"][name] is not None]
         aggregate[name] = [float(np.mean(vals)), float(np.std(vals))] if vals else None
     pooled_roc = roc_auc(pooled_scores, labels)
     document = {
         "fingerprint": config_fingerprint(
             {"recipe": recipe, "k": k, "seed": seed, "n": len(labels),
              "labels_sha": hashlib.sha256(labels.tobytes()).hexdigest()[:8]}),
-        "recipe": recipe, "k": k, "seed": seed, "folds": folds, "aggregate": aggregate,
+        "recipe": recipe, "k": k, "seed": seed, "folds": records, "aggregate": aggregate,
         "cells": {name: "undefined" if agg is None else f"{agg[0]:.2f}±{agg[1]:.2f}"
                   for name, agg in aggregate.items()},  # the write-up's table format
         "pooled_auc": pooled_roc.auc,
-        "mean_fold_auc": float(np.mean([f["auc"] for f in folds])),
+        "mean_fold_auc": float(np.mean([f["auc"] for f in records])),
     }
     return EvaluationReport(document=document, pooled_roc=pooled_roc,
                             pooled_scores=pooled_scores)

@@ -13,7 +13,8 @@ EPS = 1e-8
 
 
 class Adam:
-    """theta <- theta - lr * m_hat / (sqrt(v_hat) + EPS), the usual recipe."""
+    """theta <- theta - lr * m_hat / (sqrt(v_hat) + EPS), the usual recipe. Both
+    moments start at zero: a name's first step reads them as the scalar 0.0."""
 
     def __init__(self, lr: float = 1e-3):
         self.lr = lr
@@ -35,14 +36,8 @@ class Adam:
                     f"{name}: gradient {g.shape} vs parameter {theta.shape}")
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradientError(f"non-finite gradient in {name}")
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(theta)
-                self.v[name] = np.zeros_like(theta)
-            v = self.v[name]
-            m = BETA1 * m + (1.0 - BETA1) * g
-            v = BETA2 * v + (1.0 - BETA2) * g * g
-            self.m[name], self.v[name] = m, v
+            m = self.m[name] = BETA1 * self.m.get(name, 0.0) + (1.0 - BETA1) * g
+            v = self.v[name] = BETA2 * self.v.get(name, 0.0) + (1.0 - BETA2) * g * g
             out[name] = theta - self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         return out
 

@@ -57,15 +57,15 @@ class LstmModel:
 
 
 def init_lstm_params(input_dim: int, cfg: LstmConfig, rng) -> dict[str, np.ndarray]:
-    """Glorot for every weight block; forget-gate bias starts at 1."""
+    """Glorot for every weight block; forget-gate bias starts at 1. The recurrent
+    wx, wh and b are stacked [2, ...]: index 0 reads forwards, 1 backwards."""
     h = cfg.hidden
-    params = {}
-    for d in ("f", "b"):
-        params[f"wx_{d}"] = glorot_uniform(rng, (input_dim, 4 * h), input_dim, 4 * h)
-        params[f"wh_{d}"] = glorot_uniform(rng, (h, 4 * h), h, 4 * h)
-        bias = np.zeros(4 * h)
-        bias[h: 2 * h] = 1.0
-        params[f"b_{d}"] = bias
+    params = {"wx": np.empty((2, input_dim, 4 * h)), "wh": np.empty((2, h, 4 * h)),
+              "b": np.zeros((2, 4 * h))}
+    for d in range(2):  # drawn per direction: wx then wh
+        params["wx"][d] = glorot_uniform(rng, (input_dim, 4 * h), input_dim, 4 * h)
+        params["wh"][d] = glorot_uniform(rng, (h, 4 * h), h, 4 * h)
+    params["b"][:, h: 2 * h] = 1.0
     params["w1"] = glorot_uniform(rng, (h, cfg.dense), h, cfg.dense)
     params["b1"] = np.zeros(cfg.dense)
     params["w2"] = glorot_uniform(rng, (cfg.dense, 1), cfg.dense, 1)
@@ -83,9 +83,7 @@ def lstm_forward(params, xs, cfg: LstmConfig, training: bool, rng):
     matches the per-direction form bit for bit.
     """
     h = cfg.hidden
-    wx = np.stack([params["wx_f"], params["wx_b"]])
-    wh = np.stack([params["wh_f"], params["wh_b"]])
-    b = np.stack([params["b_f"], params["b_b"]])[:, None, :]
+    wx, wh, b = params["wx"], params["wh"], params["b"][:, None, :]
     seqs = np.stack([xs, xs[:, ::-1, :]])
     state = np.zeros((2, len(xs), h))
     c = np.zeros_like(state)
@@ -107,13 +105,11 @@ def lstm_forward(params, xs, cfg: LstmConfig, training: bool, rng):
     a1 = dense_forward(dropped, params["w1"], params["b1"])
     r1 = relu(a1)
     z2 = dense_forward(r1, params["w2"], params["b2"])
-    p = sigmoid(z2[:, 0])
-    cache = (steps, wh, mask, dropped, a1, r1, z2)
-    return p, cache
+    return sigmoid(z2[:, 0]), (steps, mask, dropped, a1, r1, z2)
 
 
 def lstm_backward(params, cache, dz2, cfg: LstmConfig):
-    steps, wh, mask, dropped, a1, r1, z2 = cache
+    steps, mask, dropped, a1, r1, z2 = cache
     grads = {}
     dr1, grads["w2"], grads["b2"] = dense_backward(r1, params["w2"], dz2)
     da1 = dr1 * relu_grad(a1)
@@ -122,9 +118,9 @@ def lstm_backward(params, cache, dz2, cfg: LstmConfig):
     dh = dropout_backward(mask, ddropped)  # both directions' final h feed the sum
     dc = np.zeros((2, len(dz2), h))
     dz = np.empty((2, len(dz2), 4 * h))
-    gw_x = np.zeros((2,) + params["wx_f"].shape)
-    gw_h = np.zeros_like(wh)
-    gb = np.zeros((2, 4 * h))
+    gw_x = grads["wx"] = np.zeros_like(params["wx"])
+    gw_h = grads["wh"] = np.zeros_like(params["wh"])
+    gb = grads["b"] = np.zeros((2, 4 * h))
     for t in reversed(range(len(steps))):
         x_t, h_prev, c_prev, i_f, g, o, tc = steps[t]
         dc = dc + dh * o * (1.0 - tc * tc)
@@ -140,10 +136,7 @@ def lstm_backward(params, cache, dz2, cfg: LstmConfig):
         gw_h += h_prev.transpose(0, 2, 1) @ dz
         gb += dz.sum(axis=1)
         if t:  # the gradient at the initial (zero) state is never read
-            dh = dz @ wh.transpose(0, 2, 1)
-    grads["wx_f"], grads["wx_b"] = gw_x
-    grads["wh_f"], grads["wh_b"] = gw_h
-    grads["b_f"], grads["b_b"] = gb
+            dh = dz @ params["wh"].transpose(0, 2, 1)
     return grads
 
 

@@ -23,8 +23,10 @@ class ModelSpec:
     fit(x, labels, seed, hyper) calls its trainer by module-global name, so
     rebinding a train_* name in this module reaches every fold. Every fitted
     model scores model_input's array with .scores(x), in [0, 1]. Only the
-    network kinds pool their folds: a logreg or SVM fold trains in well
-    under a second, and pooling made those folds slower.
+    network kinds pool their folds. Pooled, logreg lost on tiny folds: perfbench
+    encoder_head cv_s (k=3, 10 clips) took a median 0.0358 s against 0.0283 s
+    serial, slower in 6 of 6 pairs, though vector_screen cv_logreg_s gained
+    (0.067-0.090 against 0.088-0.133 s; 2 CPUs, seed 101). SVM won only 3 of 4 rounds.
     """
 
     features: tuple[str, ...]   # the feature kinds it runs on without force

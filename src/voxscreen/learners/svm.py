@@ -131,13 +131,6 @@ def kkt_violations(rows, y_pm, alphas: np.ndarray, b: float,
     rows = np.asarray(rows, dtype=np.float64)
     y = np.asarray(y_pm, dtype=np.float64)
     margins = y * (rbf_gram(rows, rows, gamma) @ (alphas * y) + b)
-    bad = []
-    for j in range(len(rows)):
-        a = alphas[j]
-        if a <= 0.0 and margins[j] < 1.0 - tol:
-            bad.append(j)
-        elif 0.0 < a < C and abs(margins[j] - 1.0) > tol:
-            bad.append(j)
-        elif a >= C and margins[j] > 1.0 + tol:
-            bad.append(j)
-    return bad
+    bad = np.where(alphas <= 0.0, margins < 1.0 - tol,
+                   np.where(alphas >= C, margins > 1.0 + tol, np.abs(margins - 1.0) > tol))
+    return np.flatnonzero(bad).tolist()

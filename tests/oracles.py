@@ -304,6 +304,37 @@ def lstm_direction_backward(caches, wx, wh, dh_last, hidden):
         dh = dz @ wh.T
     return gw_x, gw_h, gb
 
+# --- Adam with explicit zero moments ---
+
+class AdamZeroMoments:
+    """Adam.step as first written: a name's first step makes its moments as
+    zero arrays of the parameter's shape and dtype, then updates them."""
+
+    def __init__(self, lr: float = 1e-3):
+        self.lr = lr
+        self.t = 0
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+
+    def step(self, params, grads):
+        from voxscreen.learners.adam import BETA1, BETA2, EPS
+        self.t += 1
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
+        out = {}
+        for name, theta in params.items():
+            g = grads[name]
+            m = self.m.get(name)
+            if m is None:
+                m = np.zeros_like(theta)
+                self.v[name] = np.zeros_like(theta)
+            v = self.v[name]
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * g * g
+            self.m[name], self.v[name] = m, v
+            out[name] = theta - self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        return out
+
 # --- 2x2 max pooling ---
 
 def maxpool2_forward(x):

@@ -241,15 +241,15 @@ def test_criterion_5_stratification():
         n_pos = int(rng.integers(k, 120))
         n_neg = int(rng.integers(k, 120))
         labels = np.concatenate([np.ones(n_pos, int), np.zeros(n_neg, int)])
-        plan = stratified_folds(labels, k=k, seed=int(rng.integers(1 << 31)))
+        folds = stratified_folds(labels, k=k, seed=int(rng.integers(1 << 31)))
         for fold in range(k):
-            test = plan.test_indices(fold)
+            test = folds == fold
             assert abs(int(np.sum(labels[test] == 1)) - n_pos / k) < 1.0
             assert abs(int(np.sum(labels[test] == 0)) - n_neg / k) < 1.0
 
     labels = np.array([1] * 308 + [0] * 585)
-    plan = stratified_folds(labels, k=10, seed=0)
-    pos_counts = sorted(int(np.sum(labels[plan.test_indices(f)] == 1))
+    folds = stratified_folds(labels, k=10, seed=0)
+    pos_counts = sorted(int(np.sum(labels[folds == f] == 1))
                         for f in range(10))
     assert set(pos_counts) == {30, 31}
     report(5, "1000 random triples balanced; 308/585 folds hold {30,31} positives")

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from voxscreen.errors import NonFiniteGradientError, ShapeMismatchError
 from voxscreen.learners import Adam
 
@@ -51,3 +53,33 @@ class TestAdamStep:
         for _ in range(500):
             theta = opt.step(theta, {"w": 2.0 * theta["w"]})
         assert np.max(np.abs(theta["w"])) < 1e-3
+
+
+def edge_gradient(rng, shape, dtype):
+    """Random normals led by +0.0, -0.0, the smallest subnormal, the smallest
+    normal and a large value whose square stays finite, in both signs."""
+    info = np.finfo(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    edges = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+             info.tiny, -info.tiny, np.sqrt(info.max) / 2, -np.sqrt(info.max) / 2]
+    g.flat[:len(edges)] = rng.permutation(np.array(edges, dtype=dtype))
+    return g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_moments_from_zero_match_explicit_zero_arrays(dtype):
+    """Moments read as the scalar 0.0 on a name's first step give the bytes of
+    zero arrays of the parameter's dtype (tests/oracles.py), over 3 steps. The
+    gradients share the parameter's dtype, as every trainer's do."""
+    rng = np.random.default_rng(21)
+    params = {"w": rng.normal(size=(3, 5)).astype(dtype), "b": rng.normal(size=9).astype(dtype)}
+    got, want = dict(params), dict(params)
+    opt, oracle = Adam(lr=1e-2), oracles.AdamZeroMoments(lr=1e-2)
+    for _ in range(3):
+        grads = {name: edge_gradient(rng, theta.shape, dtype) for name, theta in params.items()}
+        got, want = opt.step(got, grads), oracle.step(want, grads)
+        for name in params:
+            for a, b in ((got[name], want[name]), (opt.m[name], oracle.m[name]),
+                         (opt.v[name], oracle.v[name])):
+                assert a.dtype == b.dtype == dtype, name
+                assert a.tobytes() == b.tobytes(), name

@@ -304,8 +304,9 @@ class TestCv:
         assert "Traceback" not in err
 
     def test_malformed_index_is_an_error(self, corpus, tmp_path, capsys):
-        """A row short of cells, or bytes that are not text: cv --features and the
-        next extract into the directory both refuse index.csv as corrupt."""
+        """A row short of cells, bytes that are not text, or a first row that is not
+        the header (missing, or other names): cv --features and the next extract
+        into the directory both refuse index.csv as corrupt."""
         feats = tmp_path / "feats"
         main(["extract", "--manifest", str(corpus / "manifest.csv"),
               "--feature", "mfcc_vector", "--out", str(feats)])
@@ -315,7 +316,9 @@ class TestCv:
         extract = ["extract", "--manifest", str(corpus / "manifest.csv"),
                    "--feature", "mfcc_vector", "--out", str(feats)]
         for damage, said in [(b"path,sha256,params,feature_path\nclip.wav,x\n", "line 2"),
-                             (b"\xff\xfepath,sha256,params,feature_path\n", "not utf-8 text")]:
+                             (b"\xff\xfepath,sha256,params,feature_path\n", "not utf-8 text"),
+                             (b"clip.wav,0,mfcc_vector,clip.vxf\n", "line 1"),
+                             (b"a,b,c,d\n", "line 1")]:
             (feats / "index.csv").write_bytes(damage)
             for argv in (cv, extract):
                 capsys.readouterr()

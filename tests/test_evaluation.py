@@ -31,31 +31,30 @@ from voxscreen.evaluation import (
 )
 
 
-def fold_class_counts(plan, labels):
+def fold_class_counts(folds, labels, k):
     labels = np.asarray(labels)
-    return [(int(np.sum(labels[plan.test_indices(f)] == 1)),
-             int(np.sum(labels[plan.test_indices(f)] == 0)))
-            for f in range(plan.k)]
+    return [(int(np.sum(labels[folds == f] == 1)), int(np.sum(labels[folds == f] == 0)))
+            for f in range(k)]
 
 
 class TestStratifiedFolds:
     def test_divisible_case_exact(self):
         labels = np.array([1] * 10 + [0] * 20)
-        plan = stratified_folds(labels, k=5, seed=0)
-        assert fold_class_counts(plan, labels) == [(2, 4)] * 5
+        folds = stratified_folds(labels, k=5, seed=0)
+        assert fold_class_counts(folds, labels, 5) == [(2, 4)] * 5
 
     def test_cohort_shaped_counts(self):
         """308 positives / 585 negatives, k=10."""
         labels = np.array([1] * 308 + [0] * 585)
-        plan = stratified_folds(labels, k=10, seed=1)
-        for pos, neg in fold_class_counts(plan, labels):
+        folds = stratified_folds(labels, k=10, seed=1)
+        for pos, neg in fold_class_counts(folds, labels, 10):
             assert pos in (30, 31)
             assert neg in (58, 59)
 
     def test_every_example_in_exactly_one_fold(self):
         labels = np.array([0, 1] * 25)
-        plan = stratified_folds(labels, k=7, seed=3)
-        seen = np.concatenate([plan.test_indices(f) for f in range(7)])
+        folds = stratified_folds(labels, k=7, seed=3)
+        seen = np.concatenate([np.flatnonzero(folds == f) for f in range(7)])
         assert sorted(seen.tolist()) == list(range(50))
 
     def test_deterministic_per_seed(self):
@@ -63,8 +62,8 @@ class TestStratifiedFolds:
         a = stratified_folds(labels, k=5, seed=4)
         b = stratified_folds(labels, k=5, seed=4)
         c = stratified_folds(labels, k=5, seed=5)
-        assert np.array_equal(a.assignments, b.assignments)
-        assert not np.array_equal(a.assignments, c.assignments)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("k", [1, 0])
     def test_fewer_than_two_folds_is_a_config_error(self, k):
@@ -75,6 +74,14 @@ class TestStratifiedFolds:
         with pytest.raises(InsufficientClassCountError):
             stratified_folds(np.array([1, 0, 0, 0, 0]), k=2)
 
+    @pytest.mark.parametrize("other", [2, 0.5, -1])
+    def test_label_other_than_0_or_1_is_a_config_error(self, other):
+        """Such a row would train in every fold and never be scored."""
+        labels = np.array([0, 1] * 10 + [other, 7])
+        with pytest.raises(ConfigError, match=f"^label {re.escape(str(labels[20]))}: "
+                                              "labels must be 0 or 1$"):
+            stratified_folds(labels, k=4)
+
     def test_balance_over_random_shapes(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
@@ -82,8 +89,8 @@ class TestStratifiedFolds:
             n_pos = int(rng.integers(k, 60))
             n_neg = int(rng.integers(k, 60))
             labels = np.array([1] * n_pos + [0] * n_neg)
-            plan = stratified_folds(labels, k=k, seed=int(rng.integers(1 << 30)))
-            counts = fold_class_counts(plan, labels)
+            folds = stratified_folds(labels, k=k, seed=int(rng.integers(1 << 30)))
+            counts = fold_class_counts(folds, labels, k)
             pos_counts = [c[0] for c in counts]
             neg_counts = [c[1] for c in counts]
             assert max(pos_counts) - min(pos_counts) <= 1
@@ -178,6 +185,14 @@ class TestRocAuc:
         sig = 1.0 / (1.0 + np.exp(-(3.0 * scores - 1.0)))
         assert roc_auc(sig, labels).auc == base
         assert roc_auc(0.2 * scores + 0.4, labels).auc == base
+
+    @pytest.mark.parametrize("other", [2, 0.5])
+    def test_label_other_than_0_or_1_is_a_config_error(self, other):
+        """Counted as a false positive but not as a negative, it pushed AUC above 1."""
+        labels = np.array([1, 0, 1, 0, other, 3])
+        with pytest.raises(ConfigError, match=f"^label {re.escape(str(labels[4]))}: "
+                                              "labels must be 0 or 1$"):
+            roc_auc([0.9, 0.8, 0.7, 0.1, 0.95, 0.5], labels)
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataError):

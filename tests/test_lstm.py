@@ -56,10 +56,7 @@ class TestForward:
         cfg = LstmConfig(hidden=5, dense=4)
         params = init_lstm_params(2, cfg, np.random.default_rng(3))
         xs = np.random.default_rng(4).normal(size=(4, 9, 2))
-        swapped = dict(params)
-        for block in ("wx", "wh", "b"):
-            swapped[f"{block}_f"] = params[f"{block}_b"]
-            swapped[f"{block}_b"] = params[f"{block}_f"]
+        swapped = {**params, **{block: params[block][::-1] for block in ("wx", "wh", "b")}}
         a, _ = lstm_forward(params, xs, cfg, training=False, rng=None)
         b, _ = lstm_forward(swapped, xs[:, ::-1, :], cfg, training=False, rng=None)
         assert np.array_equal(a, b)
@@ -165,7 +162,7 @@ class TestTrainLstm:
                        for lab in labels])
         model = train_lstm(xs, labels, seed=4,
                            config=LstmConfig(hidden=6, dense=4, epochs=40, batch=8))
-        assert model.params["wx_f"].shape[0] == 5
+        assert model.params["wx"][0].shape[0] == 5
         acc = np.mean((model.scores(xs) >= 0.5).astype(int) == labels)
         assert acc >= 0.9
 
@@ -174,10 +171,10 @@ def per_direction_forward(params, xs, cfg, training, rng):
     """lstm_forward as first written: each direction by itself
     (tests/oracles.py), the same dense head."""
     h = cfg.hidden
-    hf, caches_f = oracles.lstm_run_direction(xs, params["wx_f"], params["wh_f"],
-                                              params["b_f"], h)
-    hb, caches_b = oracles.lstm_run_direction(xs[:, ::-1, :], params["wx_b"], params["wh_b"],
-                                              params["b_b"], h)
+    hf, caches_f = oracles.lstm_run_direction(xs, params["wx"][0], params["wh"][0],
+                                              params["b"][0], h)
+    hb, caches_b = oracles.lstm_run_direction(xs[:, ::-1, :], params["wx"][1], params["wh"][1],
+                                              params["b"][1], h)
     dropped, mask = dropout_forward(hf + hb, cfg.dropout, rng, training)
     a1 = dense_forward(dropped, params["w1"], params["b1"])
     r1 = relu(a1)
@@ -186,16 +183,19 @@ def per_direction_forward(params, xs, cfg, training, rng):
 
 
 def per_direction_backward(params, cache, dz2, cfg):
-    """lstm_backward as first written, for per_direction_forward's cache."""
+    """lstm_backward as first written, for per_direction_forward's cache; each
+    direction's gradients are stacked as the parameters are."""
     (_, caches_f), (_, caches_b), mask, dropped, a1, r1, z2 = cache
     grads = {}
     dr1, grads["w2"], grads["b2"] = dense_backward(r1, params["w2"], dz2)
     ddropped, grads["w1"], grads["b1"] = dense_backward(dropped, params["w1"],
                                                         dr1 * relu_grad(a1))
     dmerged = dropout_backward(mask, ddropped)
-    for d, caches in (("f", caches_f), ("b", caches_b)):
-        grads[f"wx_{d}"], grads[f"wh_{d}"], grads[f"b_{d}"] = oracles.lstm_direction_backward(
-            caches, params[f"wx_{d}"], params[f"wh_{d}"], dmerged, cfg.hidden)
+    per_direction = [oracles.lstm_direction_backward(caches, params["wx"][d], params["wh"][d],
+                                                     dmerged, cfg.hidden)
+                     for d, caches in enumerate((caches_f, caches_b))]
+    for name, blocks in zip(("wx", "wh", "b"), zip(*per_direction)):
+        grads[name] = np.stack(blocks)
     return grads
 
 

@@ -330,9 +330,9 @@ def test_rebound_trainers_reach_pooled_folds(monkeypatch):
     for model, feature in POOLED_PAIRS:
         report = cross_validate(_tiny_features(model, labels, rng), labels,
                                 {"model": model, "feature": feature}, k=3, seed=7)
-        plan = stratified_folds(labels, k=3, seed=7)
+        folds = stratified_folds(labels, k=3, seed=7)
         for fold in range(3):
-            assert np.all(report.pooled_scores[plan.test_indices(fold)]
+            assert np.all(report.pooled_scores[folds == fold]
                           == (7 + fold + 1) / 10), (model, feature, fold)
 
 

@@ -126,10 +126,11 @@ def gate_corpus(tmp_path_factory):
 def gate_folds(gate_corpus):
     """The standardized training rows and y of each of `cv`'s 10 folds at seed 1."""
     feats, labels = gate_corpus
-    plan = stratified_folds(labels, k=10, seed=1)
+    folds = stratified_folds(labels, k=10, seed=1)
     for fold in range(10):
-        ids = plan.train_indices(fold)
-        yield fit_standardizer(feats[ids]).apply(feats[ids]), np.where(labels[ids] == 1, 1.0, -1.0)
+        train = folds != fold
+        yield (fit_standardizer(feats[train]).apply(feats[train]),
+               np.where(labels[train] == 1, 1.0, -1.0))
 
 
 def problems(gate_corpus):
