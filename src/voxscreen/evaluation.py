@@ -14,20 +14,14 @@ from .errors import (
     EmptyEvaluationError,
     InsufficientClassCountError,
     LengthMismatchError,
-    SingleClassDataError,
 )
 from .forkmap import fork_map
+from .learners.layers import binary_labels, training_labels
 from .learners.models import MODELS
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "ppv", "npv")
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_FOLDS = 10
-
-
-def _check_binary(labels: np.ndarray) -> None:
-    """ConfigError naming the first label that is neither 0 nor 1."""
-    if len(other := labels[(labels != 0) & (labels != 1)]):
-        raise ConfigError(f"label {other[0]}: labels must be 0 or 1")
 
 
 def stratified_folds(labels, k: int = DEFAULT_FOLDS, seed: int = 0) -> np.ndarray:
@@ -36,10 +30,11 @@ def stratified_folds(labels, k: int = DEFAULT_FOLDS, seed: int = 0) -> np.ndarra
     Keeps per-fold class counts within one of perfect balance, the
     stratification the screening protocol requires.
     """
-    labels = np.asarray(labels)
     if k < 2:
         raise ConfigError(f"k={k}: cross-validation needs at least 2 folds")
-    _check_binary(labels)
+    if seed < 0:
+        raise ConfigError(f"seed={seed}: the fold shuffle needs a seed of 0 or more")
+    labels = binary_labels(labels)
     folds = np.empty(len(labels), dtype=np.int64)
     rng = np.random.default_rng(seed)
     for cls in (0, 1):
@@ -47,19 +42,17 @@ def stratified_folds(labels, k: int = DEFAULT_FOLDS, seed: int = 0) -> np.ndarra
         if len(members) < k:
             raise InsufficientClassCountError(
                 f"class {cls} has {len(members)} examples, fewer than k={k}")
-        shuffled = rng.permutation(members)
-        folds[shuffled] = np.arange(len(shuffled)) % k
+        folds[rng.permutation(members)] = np.arange(len(members)) % k
     return folds
 
 
 def confusion_at_threshold(scores, labels) -> dict[str, int]:
     """Predict positive iff score >= DEFAULT_THRESHOLD, then count outcomes."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if len(scores) != len(labels):
-        raise LengthMismatchError(f"{len(scores)} scores vs {len(labels)} labels")
+    pos = binary_labels(labels) == 1
+    if len(scores) != len(pos):
+        raise LengthMismatchError(f"{len(scores)} scores vs {len(pos)} labels")
     pred = scores >= DEFAULT_THRESHOLD
-    pos = labels == 1
     return {"tp": int(np.sum(pred & pos)), "fp": int(np.sum(pred & ~pos)),
             "tn": int(np.sum(~pred & ~pos)), "fn": int(np.sum(~pred & pos))}
 
@@ -99,14 +92,9 @@ def roc_auc(scores, labels) -> RocCurve:
     P(score+ > score-) + 0.5 P(tie) exactly.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if len(scores) != len(labels):
-        raise LengthMismatchError(f"{len(scores)} scores vs {len(labels)} labels")
-    _check_binary(labels)
+    labels = training_labels(labels, len(scores))
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClassDataError("ROC needs both classes present")
 
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
@@ -173,8 +161,7 @@ def cross_validate(features, labels, recipe: dict, k: int = DEFAULT_FOLDS,
     """
     features = np.asarray(features)
     labels = np.asarray(labels)
-    if len(features) != len(labels):
-        raise LengthMismatchError(f"{len(features)} features vs {len(labels)} labels")
+    training_labels(labels, len(features))
     if fit_fn is None:
         from .pipeline import resolve_recipe
         fit_fn = resolve_recipe(recipe)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SingleClassDataError
 from .adam import train_minibatches
 from .layers import (
     conv2d_backward,
@@ -24,6 +23,7 @@ from .layers import (
     maxpool2_forward,
     softmax,
     softmax_cross_entropy,
+    training_labels,
 )
 
 SCORE_CHUNK = 4  # images per conv pass in CnnModel.scores
@@ -118,11 +118,9 @@ def train_cnn(images, labels, seed: int, config: CnnConfig) -> CnnModel:
     one seeded generator.
     """
     images = np.asarray(images, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.int64)
     if images.ndim != 4:
         raise ValueError(f"expected [n, h, w, c] images, got {images.shape}")
-    if len(set(labels.tolist())) < 2:
-        raise SingleClassDataError("training labels are all identical")
+    labels = training_labels(labels, len(images))
 
     rng = np.random.default_rng(seed)
     params = init_cnn_params(images.shape[1:], config, rng)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError, LengthMismatchError, SingleClassDataError
+
 GELU_C = np.sqrt(2.0 / np.pi)
 
 
@@ -59,6 +61,24 @@ def softmax(x):
 def glorot_uniform(rng, shape, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def binary_labels(labels):
+    """labels as int64; ConfigError naming the first that is neither 0 nor 1."""
+    labels = np.asarray(labels)
+    if len(other := labels[(labels != 0) & (labels != 1)]):
+        raise ConfigError(f"label {other[0]}: labels must be 0 or 1")
+    return labels.astype(np.int64)
+
+
+def training_labels(labels, n: int):
+    """binary_labels, exactly n of them, with both classes present."""
+    labels = binary_labels(labels)
+    if len(labels) != n:
+        raise LengthMismatchError(f"{len(labels)} labels for {n} rows")
+    if labels.all() or not labels.any():
+        raise SingleClassDataError("labels must hold both classes, 0 and 1")
+    return labels
 
 
 # --- dense ---
@@ -189,3 +209,4 @@ def bce_from_logits(z, y):
     softplus = np.logaddexp(0.0, z)
     loss = np.mean(softplus - y * z)
     return loss, (sigmoid(z) - y) / z.size
+

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, SingleClassDataError
-from .layers import sigmoid
+from ..errors import DimensionMismatchError
+from .layers import sigmoid, training_labels
 
 LOGREG_LR = 0.1
 LOGREG_EPOCHS = 500
@@ -34,9 +34,7 @@ def train_logreg(rows, labels, epochs: int = LOGREG_EPOCHS,
     assumed standardized (the pipeline fits a Standardizer upstream).
     """
     rows = np.asarray(rows, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if len(set(labels.tolist())) < 2:
-        raise SingleClassDataError("training labels are all identical")
+    labels = training_labels(labels, len(rows)).astype(np.float64)
     w = np.zeros(rows.shape[1])
     b = 0.0
     for _ in range(epochs):  # descend the mean BCE's gradient; the loss is never read

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptySequenceError, SingleClassDataError
+from ..errors import EmptySequenceError
 from .adam import train_minibatches
 from .layers import (
     bce_from_logits,
@@ -26,6 +26,7 @@ from .layers import (
     relu,
     relu_grad,
     sigmoid,
+    training_labels,
 )
 
 @dataclass(frozen=True)
@@ -158,11 +159,9 @@ def lstm_loss_grad(params, xs, labels, cfg: LstmConfig, training, rng):
 def train_lstm(sequences, labels, seed: int, config: LstmConfig) -> LstmModel:
     """Fit on sequences [n, T, D] or [n, T] with {0,1} labels; deterministic per seed."""
     xs = as_sequences(sequences)
-    labels = np.asarray(labels, dtype=np.float64)
     if xs.shape[1] == 0:
         raise EmptySequenceError("sequences have zero timesteps")
-    if len(set(labels.tolist())) < 2:
-        raise SingleClassDataError("training labels are all identical")
+    labels = training_labels(labels, len(xs)).astype(np.float64)
 
     rng = np.random.default_rng(seed)
     params = init_lstm_params(xs.shape[2], config, rng)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, SingleClassDataError
-from .layers import sigmoid
+from ..errors import DimensionMismatchError
+from .layers import sigmoid, training_labels
 
 SVM_C = 1.0
 SVM_GAMMA = 0.001
@@ -104,10 +104,7 @@ def train_svm_smo(rows, labels, C: float = SVM_C, gamma: float = SVM_GAMMA,
                   tol: float = SVM_TOL, max_passes: int = SVM_MAX_PASSES) -> SvmModel:
     """Fit the RBF SVM on {0,1}-labelled rows."""
     rows = np.asarray(rows, dtype=np.float64)
-    labels = np.asarray(labels)
-    if len(set(labels.tolist())) < 2:
-        raise SingleClassDataError("training labels are all identical")
-    y = np.where(labels == 1, 1.0, -1.0)
+    y = np.where(training_labels(labels, len(rows)) == 1, 1.0, -1.0)
     alphas, b, converged = smo_solve(rows, y, C, gamma, tol, max_passes)
     sv = alphas > 0.0
     return SvmModel(

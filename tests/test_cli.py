@@ -563,6 +563,8 @@ class TestReport:
     ["cv", "--features", "MISLABELLED"],
     ["cv", "--features", "NARROWED"],
     ["cv", "--manifest", "NOT_TEXT"],
+    ["cv", "--seed", "-1"],
+    ["gamma-sweep", "--gammas", "0.1", "--seed", "-1"],
 ])
 def test_bad_value_is_an_error_line_not_a_traceback(argv, corpus, tmp_path, capsys):
     command, *flags = argv
@@ -605,6 +607,16 @@ def test_non_integer_seed_variable_is_an_error_line(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == "error: VOXSCREEN_SEED='abc' is not an integer\n"
     with pytest.raises(ConfigError):
         build_parser()
+
+
+def test_negative_seed_variable_is_an_error_line(corpus, tmp_path, monkeypatch, capsys):
+    """A negative seed reached default_rng and ended in numpy's ValueError."""
+    monkeypatch.setenv("VOXSCREEN_SEED", "-1")
+    assert main(["cv", "--manifest", str(corpus / "manifest.csv"), "--feature", "mfcc_vector",
+                 "--model", "svm", "--k", "4", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: seed=-1: the fold shuffle needs a seed of 0 or more\n")
+    assert not (tmp_path / "out").exists()  # refused before any extraction
 
 
 def test_nan_sample_clip_fails_instead_of_hanging(tmp_path, capsys):

@@ -29,6 +29,14 @@ from voxscreen.evaluation import (
     roc_auc,
     stratified_folds,
 )
+from voxscreen.learners import (
+    CnnConfig,
+    LstmConfig,
+    train_cnn,
+    train_logreg,
+    train_lstm,
+    train_svm_smo,
+)
 
 
 def fold_class_counts(folds, labels, k):
@@ -69,6 +77,12 @@ class TestStratifiedFolds:
     def test_fewer_than_two_folds_is_a_config_error(self, k):
         with pytest.raises(ConfigError, match=f"^k={k}: cross-validation needs at least 2 folds$"):
             stratified_folds(np.array([0, 1] * 4), k=k)
+
+    def test_negative_seed_is_a_config_error(self):
+        """default_rng refused it with numpy's ValueError."""
+        with pytest.raises(ConfigError,
+                           match="^seed=-1: the fold shuffle needs a seed of 0 or more$"):
+            stratified_folds(np.array([0, 1] * 4), k=2, seed=-1)
 
     def test_insufficient_class_count(self):
         with pytest.raises(InsufficientClassCountError):
@@ -113,6 +127,31 @@ class TestConfusion:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             confusion_at_threshold([0.5], [1, 0])
+
+    def test_label_other_than_0_or_1_is_a_config_error(self):
+        """The label-2 row was counted as a false positive."""
+        with pytest.raises(ConfigError, match="^label 2: labels must be 0 or 1$"):
+            confusion_at_threshold([0.9, 0.1, 0.8], [1, 0, 2])
+
+
+ROWS = np.random.default_rng(0).normal(size=(12, 4))
+TRAINERS = {  # each fits 12 rows of ROWS in the layout it takes
+    "logreg": lambda labels: train_logreg(ROWS, labels),
+    "svm": lambda labels: train_svm_smo(ROWS, labels),
+    "cnn": lambda labels: train_cnn(np.resize(ROWS, (12, 12, 12, 3)), labels, seed=0,
+                                    config=CnnConfig(filters1=2, filters2=2, epochs=1)),
+    "lstm": lambda labels: train_lstm(ROWS, labels, seed=0, config=LstmConfig(epochs=1)),
+}
+
+
+@pytest.mark.parametrize("kind", TRAINERS)
+def test_trainers_refuse_labels_the_rule_refuses(kind):
+    """logreg, svm and lstm trained on a label 2 and cnn raised IndexError;
+    cnn and lstm trained on the first n of n + 1 labels."""
+    with pytest.raises(ConfigError, match="^label 2: labels must be 0 or 1$"):
+        TRAINERS[kind](np.array([0, 1] * 5 + [2, 2]))
+    with pytest.raises(LengthMismatchError, match="^13 labels for 12 rows$"):
+        TRAINERS[kind](np.array([0, 1] * 6 + [1]))
 
 
 class TestMetrics:
