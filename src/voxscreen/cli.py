@@ -8,7 +8,6 @@ byte for byte. VOXSCREEN_SEED provides the default seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import ctypes
 import hashlib
@@ -24,7 +23,7 @@ from .datasets import apply_cohort, generate_synthetic_corpus, parse_manifest
 from .audio_io import CANONICAL_RATE
 from .dsp import FrameParams, MelParams, filter_bounds
 from .encoder import EncoderConfig, seeded_weights
-from .errors import ConfigError, CorruptFileError, VoxscreenError
+from .errors import ConfigError, CorruptFileError, InfeasibleBankError, VoxscreenError
 from .evaluation import (DEFAULT_FOLDS, config_fingerprint, cross_validate, report_text,
                          stratified_folds)
 from .features_io import FEATURE_KINDS, read_feature, stored_form, write_feature
@@ -63,11 +62,14 @@ def _write_fingerprint(out_dir: Path, payload: dict) -> None:
 
 def _feature_params(args) -> tuple[FrameParams, MelParams, str]:
     """Frame and mel parameters, and the params key index.csv records for them:
-    what an extracted feature depends on besides the clip bytes."""
+    what an extracted feature depends on besides the clip bytes. A mel kind's
+    bank is built here, before any clip, as every clip is resampled to one rate."""
     try:
         frame = FrameParams(frame_length=args.frame_length, hop_length=args.hop_length)
         mel = MelParams(n_mels=args.n_mels, n_mfcc=args.n_mfcc)
-    except ValueError as exc:
+        if args.feature != "encoder":
+            filter_bounds(CANONICAL_RATE, frame, mel)
+    except (ValueError, InfeasibleBankError) as exc:
         raise ConfigError(f"feature parameters: {exc}") from None
     return (frame, mel,
             f"{args.feature}:{args.frame_length}:{args.hop_length}:{args.n_mels}:{args.n_mfcc}")
@@ -102,11 +104,8 @@ def _map_clips(args, clip_paths: list[str], keep, check=lambda clip_path: None):
     up-to-date skip and the VXF1 write, in the worker; cv adds the VXF1 stored
     form and feature_from_matrix."""
     frame, mel, _ = _feature_params(args)
-    if clip_paths and args.feature == "encoder":  # built once, before the fork
+    if clip_paths and args.feature == "encoder":  # built once, before the fork, like the bank
         seeded_weights(EncoderConfig())
-    elif clip_paths:
-        with contextlib.suppress(VoxscreenError):  # an infeasible bank: each clip reports it
-            filter_bounds(CANONICAL_RATE, frame, mel)
 
     def outcome(clip_path: str):
         try:
@@ -127,9 +126,9 @@ def _feature_name(clip_path: str) -> str:
 
 def cmd_extract(args) -> int:
     paths = [ex.clip_path for ex in _load_examples(args.manifest, args.cohort)]
+    params_key = _feature_params(args)[2]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params_key = _feature_params(args)[2]
     index_path = out_dir / "index.csv"
     previous = _read_index(index_path) if index_path.exists() else {}
     index_path.unlink(missing_ok=True)  # written last: an unfinished run leaves none

@@ -160,8 +160,7 @@ def cross_validate(features, labels, recipe: dict, k: int = DEFAULT_FOLDS,
     a process on one CPU or without fork runs.
     """
     features = np.asarray(features)
-    labels = np.asarray(labels)
-    training_labels(labels, len(features))
+    labels = training_labels(labels, len(features))  # int64, so the fingerprint ignores dtype
     if fit_fn is None:
         from .pipeline import resolve_recipe
         fit_fn = resolve_recipe(recipe)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import FeatureKindMismatchError
 from .adam import train_minibatches
 from .layers import (
     conv2d_backward,
@@ -119,7 +120,7 @@ def train_cnn(images, labels, seed: int, config: CnnConfig) -> CnnModel:
     """
     images = np.asarray(images, dtype=np.float32)
     if images.ndim != 4:
-        raise ValueError(f"expected [n, h, w, c] images, got {images.shape}")
+        raise FeatureKindMismatchError(f"expected [n, h, w, c] images, got {images.shape}")
     labels = training_labels(labels, len(images))
 
     rng = np.random.default_rng(seed)

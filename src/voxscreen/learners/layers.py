@@ -201,12 +201,3 @@ def mae_loss(pred, target):
     """Mean absolute error; subgradient sign(pred - target)."""
     diff = pred - target
     return np.mean(np.abs(diff)), np.sign(diff) / diff.size
-
-
-def bce_from_logits(z, y):
-    """Mean binary cross-entropy of sigmoid(z) against labels y."""
-    # log(1 + e^z) computed stably for both signs
-    softplus = np.logaddexp(0.0, z)
-    loss = np.mean(softplus - y * z)
-    return loss, (sigmoid(z) - y) / z.size
-

@@ -4,7 +4,7 @@ The two directions read the sequence forwards and backwards; their final
 hidden states are summed (a symmetric merge: swapping the direction
 weight blocks while reversing the input leaves the output unchanged),
 then dropout, a ReLU dense layer and a sigmoid unit produce the score.
-Default training loss is mean absolute error; cross-entropy is opt-in.
+The training loss is the mean absolute error of that score.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from ..errors import EmptySequenceError
 from .adam import train_minibatches
 from .layers import (
-    bce_from_logits,
     dense_backward,
     dense_forward,
     dropout_backward,
@@ -35,7 +34,6 @@ class LstmConfig:
     dense: int = 32
     dropout: float = 0.3
     lr: float = 1e-3
-    loss: str = "mae"  # or "bce"
     epochs: int = 100
     batch: int = 32
 
@@ -142,18 +140,10 @@ def lstm_backward(params, cache, dz2, cfg: LstmConfig):
 
 
 def lstm_loss_grad(params, xs, labels, cfg: LstmConfig, training, rng):
-    """Loss and dL/dz2 for one batch (z2 = pre-sigmoid unit)."""
+    """MAE loss and dL/dz2 for one batch (z2 = pre-sigmoid unit)."""
     p, cache = lstm_forward(params, xs, cfg, training, rng)
-    if cfg.loss == "mae":
-        loss, dp = mae_loss(p, labels)
-        dz2 = (dp * p * (1.0 - p))[:, None]
-    elif cfg.loss == "bce":
-        z2 = cache[-1]
-        loss, dz = bce_from_logits(z2[:, 0], labels)
-        dz2 = dz[:, None]
-    else:
-        raise ValueError(f"unknown loss {cfg.loss!r}")
-    return loss, cache, dz2
+    loss, dp = mae_loss(p, labels)
+    return loss, cache, (dp * p * (1.0 - p))[:, None]
 
 
 def train_lstm(sequences, labels, seed: int, config: LstmConfig) -> LstmModel:

@@ -67,7 +67,6 @@ MODELS = {
     "lstm": ModelSpec(
         features=("mfcc_vector",), images=False, pooled=True,
         hyper={"hidden": COUNT, "dense": COUNT, "dropout": FRACTION, "lr": POSITIVE,
-               "loss": _ranged(str, lambda v: v in ("mae", "bce"), "must be mae or bce"),
                "epochs": COUNT, "batch": COUNT},
         fit=lambda x, y, seed, h: train_lstm(x, y, seed, LstmConfig(**h))),
 }

@@ -199,6 +199,19 @@ class TestExtract:
             assert sorted(path for paths in opened.values() for path in paths) == clips
             assert (os.getpid() in opened) == (cpus == 1)
 
+    def test_infeasible_bank_refused_before_any_clip(self, corpus, tmp_path, capsys):
+        """128 filters over 129 bins leave some empty: one error line, and neither
+        index.csv nor fingerprint.json. The encoder kind builds no bank."""
+        flags = ["--frame-length", "256", "--hop-length", "128", "--n-mels", "128"]
+        out = tmp_path / "feats"
+        assert _extract(corpus, out, *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: feature parameters: ") and err.count("\n") == 1
+        assert not (out / "index.csv").exists() and not (out / "fingerprint.json").exists()
+        args = build_parser().parse_args(["extract", "--manifest", "m.csv", "--feature",
+                                          "encoder", "--out", str(out), *flags])
+        voxscreen.cli._feature_params(args)
+
     def test_unreadable_path_isolated(self, corpus, tmp_path, capsys):
         bad_manifest = tmp_path / "bad.csv"
         text = (corpus / "manifest.csv").read_text()
@@ -565,6 +578,7 @@ class TestReport:
     ["cv", "--manifest", "NOT_TEXT"],
     ["cv", "--seed", "-1"],
     ["gamma-sweep", "--gammas", "0.1", "--seed", "-1"],
+    ["cv", "--frame-length", "256", "--hop-length", "128", "--n-mels", "128"],
 ])
 def test_bad_value_is_an_error_line_not_a_traceback(argv, corpus, tmp_path, capsys):
     command, *flags = argv

@@ -10,7 +10,7 @@ import oracles
 from gradcheck import max_relative_error, numeric_grad
 from test_layers import ONE_BLAS_THREAD, REDUCED_DISPATCH, run_check
 
-from voxscreen.errors import NonFiniteLossError, SingleClassDataError
+from voxscreen.errors import FeatureKindMismatchError, NonFiniteLossError, SingleClassDataError
 from voxscreen.learners import train_cnn
 from voxscreen.learners.cnn import (SCORE_CHUNK, CnnConfig, CnnModel, cnn_backward, cnn_forward,
                                     init_cnn_params)
@@ -189,6 +189,11 @@ class TestTrainCnn:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataError):
             train_cnn(np.zeros((4, 12, 12, 3)), np.ones(4), seed=0, config=CnnConfig(epochs=1))
+
+    def test_non_image_input_is_a_kind_mismatch(self):
+        with pytest.raises(FeatureKindMismatchError, match=r"got \(4, 12, 12\)"):
+            train_cnn(np.zeros((4, 12, 12)), np.array([0, 1, 0, 1]), seed=0,
+                      config=CnnConfig(epochs=1))
 
     def test_full_input_shape_consistent(self):
         """Layer shapes line up for the 150x150x3 screening input."""

@@ -347,6 +347,17 @@ class TestCrossValidate:
                                seed=3, fit_fn=_mean_threshold_fit)
         assert 0.4 <= blank.pooled_roc.auc <= 0.6
 
+    def test_fingerprint_ignores_the_label_dtype(self):
+        """The fingerprint hashes the labels as int64, whatever dtype holds them."""
+        feats = np.random.default_rng(15).normal(size=(40, 2))
+        labels = np.array([0, 1] * 20)
+        want = cross_validate(feats, labels, {"model": "toy"}, k=4, seed=0,
+                              fit_fn=_mean_threshold_fit).document["fingerprint"]
+        for dtype in (np.int32, bool, np.float64):
+            got = cross_validate(feats, labels.astype(dtype), {"model": "toy"}, k=4, seed=0,
+                                 fit_fn=_mean_threshold_fit).document["fingerprint"]
+            assert got == want, dtype
+
     def test_report_artifacts_parse(self):
         rng = np.random.default_rng(14)
         feats = list(rng.normal(size=(30, 2)))

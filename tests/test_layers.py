@@ -14,7 +14,6 @@ import oracles
 from gradcheck import gelu_grad, max_relative_error, numeric_grad, sigmoid_grad
 import voxscreen
 from voxscreen.learners.layers import (
-    bce_from_logits,
     conv2d_backward,
     conv2d_forward,
     dense_backward,
@@ -342,15 +341,3 @@ class TestLosses:
         target = RNG.integers(0, 2, size=7).astype(float)
         loss, grad = mae_loss(pred, target)
         assert_grad(grad, lambda v: mae_loss(v, target)[0], pred)
-
-    def test_bce_grad(self):
-        z = RNG.normal(size=9)
-        y = RNG.integers(0, 2, size=9).astype(float)
-        loss, grad = bce_from_logits(z, y)
-        assert loss > 0
-        assert_grad(grad, lambda v: bce_from_logits(v, y)[0], z)
-
-    def test_bce_stable_for_large_logits(self):
-        loss, grad = bce_from_logits(np.array([500.0, -500.0]),
-                                     np.array([1.0, 0.0]))
-        assert np.isfinite(loss) and np.all(np.isfinite(grad))

@@ -63,10 +63,9 @@ class TestForward:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("loss", ["mae", "bce"])
-    def test_bptt_matches_finite_differences(self, loss):
+    def test_bptt_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        cfg = LstmConfig(hidden=3, dense=4, dropout=0.0, loss=loss)
+        cfg = LstmConfig(hidden=3, dense=4, dropout=0.0)
         xs = rng.normal(size=(3, 6, 2))
         ys = np.array([0.0, 1.0, 1.0])
         params = init_lstm_params(2, cfg, rng)
@@ -146,14 +145,6 @@ class TestTrainLstm:
         with pytest.raises(SingleClassDataError):
             train_lstm(np.zeros((4, 5, 1)), np.zeros(4), seed=0, config=LstmConfig(epochs=1))
 
-    def test_bce_option_trains(self):
-        rng = np.random.default_rng(9)
-        xs, labels = ramp_sequences(rng, 30)
-        model = train_lstm(xs, labels, seed=3,
-                           config=LstmConfig(hidden=8, dense=4, loss="bce", epochs=20, batch=32))
-        acc = np.mean((model.scores(xs) >= 0.5).astype(int) == labels)
-        assert acc >= 0.9
-
     def test_frame_sequence_mode(self):
         """Alternate input: a frame sequence (width > 1) per example."""
         rng = np.random.default_rng(10)
@@ -222,40 +213,37 @@ def assert_same_bytes(got, want, label):
 
 def check_every_stacked_case():
     """The stacked recurrence's final h of each direction, scores and every
-    gradient (both losses, dropout on), and parameters trained for a few
-    epochs, equal the per-direction form byte for byte."""
+    gradient (dropout on), and parameters trained for a few epochs, equal
+    the per-direction form byte for byte."""
     for n, T, D, h in STACK_CASES:
         rng = np.random.default_rng(12)
         xs = rng.normal(size=(n, T, D))
         ys = rng.integers(0, 2, n).astype(np.float64)
-        for loss in ("mae", "bce"):
-            cfg = LstmConfig(hidden=h, dense=4, loss=loss)
-            params = init_lstm_params(D, cfg, rng)
-            label = (n, T, D, h, loss)
-            _, cache, dz2 = lstm_loss_grad(params, xs, ys, cfg, True, np.random.default_rng(1))
-            _, ((hf, _), (hb, _), *_) = per_direction_forward(params, xs, cfg, False, None)
-            steps = cache[0]
-            final = steps[-1][-2] * steps[-1][-1]  # o * tanh(c) at the last step
-            assert_same_bytes(final[0], hf, label)
-            assert_same_bytes(final[1], hb, label)
-            grads = lstm_backward(params, cache, dz2, cfg)
-            _, cache_old = per_direction_forward(params, xs, cfg, True,
-                                                 np.random.default_rng(1))
-            assert_same_bytes(cache[-1], cache_old[-1], label)
-            want = per_direction_backward(params, cache_old, dz2, cfg)
-            assert grads.keys() == want.keys()
-            for name in want:
-                assert_same_bytes(grads[name], want[name], label + (name,))
+        cfg = LstmConfig(hidden=h, dense=4)
+        params = init_lstm_params(D, cfg, rng)
+        label = (n, T, D, h)
+        _, cache, dz2 = lstm_loss_grad(params, xs, ys, cfg, True, np.random.default_rng(1))
+        _, ((hf, _), (hb, _), *_) = per_direction_forward(params, xs, cfg, False, None)
+        steps = cache[0]
+        final = steps[-1][-2] * steps[-1][-1]  # o * tanh(c) at the last step
+        assert_same_bytes(final[0], hf, label)
+        assert_same_bytes(final[1], hb, label)
+        grads = lstm_backward(params, cache, dz2, cfg)
+        _, cache_old = per_direction_forward(params, xs, cfg, True, np.random.default_rng(1))
+        assert_same_bytes(cache[-1], cache_old[-1], label)
+        want = per_direction_backward(params, cache_old, dz2, cfg)
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert_same_bytes(grads[name], want[name], label + (name,))
     for n, T, D, base, epochs, batch in ((50, 40, 1, LstmConfig(), 3, 32),
                                          (20, 9, 3, LstmConfig(hidden=3, dense=4), 4, 8)):
         rng = np.random.default_rng(13)
         xs, ys = rng.normal(size=(n, T, D)), np.arange(n) % 2
-        for loss in ("mae", "bce"):
-            cfg = dataclasses.replace(base, loss=loss, epochs=epochs, batch=batch)
-            got = train_lstm(xs, ys, seed=5, config=cfg)
-            want = train_per_direction(xs, ys, seed=5, config=cfg)
-            for name in want.params:
-                assert_same_bytes(got.params[name], want.params[name], (n, T, D, loss, name))
+        cfg = dataclasses.replace(base, epochs=epochs, batch=batch)
+        got = train_lstm(xs, ys, seed=5, config=cfg)
+        want = train_per_direction(xs, ys, seed=5, config=cfg)
+        for name in want.params:
+            assert_same_bytes(got.params[name], want.params[name], (n, T, D, name))
 
 
 class TestStackedMatchesPerDirection:

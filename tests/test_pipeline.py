@@ -164,7 +164,7 @@ class TestRecipeValidation:
         ("logreg", "lr", -1.0), ("svm", "C", 0.0), ("svm", "gamma", -1.0),
         ("svm", "tol", 0.0), ("svm", "max_passes", 0), ("cnn", "dropout", 1.5),
         ("lstm", "dropout", 1.0), ("lstm", "dropout", -0.1), ("svm", "gamma", float("nan")),
-        ("logreg", "epochs", "many"), ("lstm", "loss", "huber"), ("logreg", "lr", float("inf")),
+        ("logreg", "epochs", "many"), ("logreg", "lr", float("inf")),
         ("svm", "C", float("inf")), ("svm", "gamma", float("inf")), ("svm", "tol", float("inf")),
     ])
     def test_hyper_values_out_of_range(self, model, key, value):
@@ -185,6 +185,9 @@ class TestRecipeValidation:
         with pytest.raises(ConfigError, match="'kernel'"):
             validate_recipe({"model": "cnn", "feature": "melspec_image",
                              "hyper": {"kernel": 5}})
+        with pytest.raises(ConfigError, match="'loss'"):
+            validate_recipe({"model": "lstm", "feature": "mfcc_vector",
+                             "hyper": {"loss": "mae"}})
 
     def test_unknown_names(self):
         with pytest.raises(ConfigError):
